@@ -162,6 +162,18 @@ class _Builder:
         )
 
 
+def lone_instance(gadget: Gadget, config: PhysicsConfig) -> MWISInstance:
+    """One free-standing gadget as a one-element instance.
+
+    It has no program and no chains, so only the weight-programming steps
+    (``tail_compensate`` and ``homogenize``) take it.
+    """
+    b = _Builder(config)
+    b.add(gadget, {})
+    pos, w, elements = b.finish()
+    return MWISInstance(None, config, pos, w, elements, {})
+
+
 def _require_triples(program):
     if any(len(c.members) != 3 for c in program.constraints):
         raise ValidationError(

@@ -260,6 +260,8 @@ def _parse_gadget_spec(text: str):
             length = int(tail)
         except ValueError:
             raise ValidationError(f"bad link length {tail!r}") from None
+        if length < 3 or length % 2 == 0:
+            raise ValidationError(f"link length must be odd and at least 3, got {length}")
         return kind, length
     return kind, 5 if kind == "link" else None
 
@@ -304,6 +306,33 @@ def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
     return 0 if verified else 4
 
 
+def _decode_ground(entries, layout, program, problem, optimum):
+    """Per-entry decode records, and whether every entry is logical and optimal."""
+    state_by_config = {s.mask | layout.anchor_mask: s for s in layout.logical}
+    records = []
+    ok = True
+    for entry in entries:
+        state = state_by_config.get(entry.config)
+        if state is None:
+            records.append({"config": int(entry.config), "energy": entry.energy, "logical": False})
+            ok = False
+            continue
+        bits = decode(program, state.values)
+        value = evaluate(problem, bits)
+        records.append(
+            {
+                "config": int(entry.config),
+                "energy": entry.energy,
+                "logical": True,
+                "assignment": list(bits),
+                "value": value,
+            }
+        )
+        if value > optimum + 1e-9:
+            ok = False
+    return records, ok
+
+
 def _verify_problem(rc: RunConfig) -> int:
     config = _physics(rc, _ASSEMBLY_RATIO)
     problem, program, layout = _compiled_layout(rc, config)
@@ -323,19 +352,8 @@ def _verify_problem(rc: RunConfig) -> int:
         result, masks, layout.anchor_mask, config, hashes=doc["hashes"]
     )
     optimum, _ = brute_force_optimum(problem)
-    state_by_config = {s.mask | layout.anchor_mask: s for s in layout.logical}
-    e0 = result.ground_energy
-    decode_ok = True
-    for entry in result.entries:
-        if entry.energy > e0 + 1e-9 * unit:
-            break
-        state = state_by_config.get(entry.config)
-        if state is None:
-            decode_ok = False
-            continue
-        value = evaluate(problem, decode(program, state.values))
-        if value > optimum + 1e-9:
-            decode_ok = False
+    ground = [e for e in result.entries if e.energy <= result.ground_energy + 1e-9 * unit]
+    _, decode_ok = _decode_ground(ground, layout, program, problem, optimum)
     report["decode_consistent"] = decode_ok
     report["optimum"] = optimum
     verified = bool(
@@ -429,28 +447,7 @@ def cmd_endtoend(rc: RunConfig) -> int:
             logical_masks=masks,
         )
         optimum, _ = brute_force_optimum(problem)
-        state_by_config = {s.mask | layout.anchor_mask: s for s in layout.logical}
-        ground = []
-        ok = True
-        for entry in found.entries:
-            state = state_by_config.get(entry.config)
-            if state is None:
-                ground.append({"config": int(entry.config), "energy": entry.energy, "logical": False})
-                ok = False
-                continue
-            bits = decode(program, state.values)
-            value = evaluate(problem, bits)
-            ground.append(
-                {
-                    "config": int(entry.config),
-                    "energy": entry.energy,
-                    "logical": True,
-                    "assignment": list(bits),
-                    "value": value,
-                }
-            )
-            if value > optimum + 1e-9:
-                ok = False
+        ground, ok = _decode_ground(found.entries, layout, program, problem, optimum)
         matches += ok
         results.append(
             {

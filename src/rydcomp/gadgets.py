@@ -62,9 +62,6 @@ class Gadget:
     def n(self) -> int:
         return len(self.weights)
 
-    def port_node(self, name: str) -> int:
-        return self.ports[name]
-
     def port_bits(self, state_index: int):
         """Excitation of each port (in port order) in one logical state."""
         m = self.logical_states[state_index]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .problems import Problem, evaluate
+from .problems import Problem
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,3 @@ def _check_values(program, values):
     if len(vals) != program.n or any(b not in (0, 1) for b in vals):
         raise ValidationError(f"expected {program.n} parity bits, got {values!r}")
     return vals
-
-
-def cost_of(program: ParityProgram, assignment) -> float:
-    """Problem cost via the original evaluator (for identity checks)."""
-    return evaluate(program.problem, assignment)

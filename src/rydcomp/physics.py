@@ -16,7 +16,7 @@ terms), so every configuration inside the requested window is found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,12 +155,6 @@ class SpectrumResult:
     @property
     def ground_energy(self) -> float:
         return self.entries[0].energy
-
-    def flagged(self, logical_masks):
-        """Copy with the ``logical`` flag set from a collection of masks."""
-        marks = set(int(m) for m in logical_masks)
-        ents = [replace(e, logical=e.config in marks) for e in self.entries]
-        return SpectrumResult(ents, self.truncated, self.window, self.n_atoms)
 
 
 def spectrum(

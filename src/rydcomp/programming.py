@@ -19,10 +19,12 @@ gap in three exact bookkeeping steps plus one geometric one:
 4. ``build_global_layout`` runs the full pipeline and returns atom
    positions plus one uniform detuning per atom.
 
-Free-standing gadgets go through the same steps via ``balance_open_ports``,
-which instead solves the exact state-degeneracy conditions of the gadget
-plus its anchors — the ground truth the instance-level shortcuts
-approximate.
+A free-standing gadget is compensated and homogenised by the same
+``tail_compensate`` and ``homogenize``, as a one-element instance
+(``assembly.lone_instance``).  Only its anchoring is specific to gadgets:
+``balance_open_ports`` polishes the port anchors against the exact
+state-degeneracy conditions of the gadget plus its anchors — the ground
+truth the instance-level anchor planner approximates.
 
 Sign convention throughout: a positive required splitting must *raise* the
 energy of the chain's value-1 states relative to its value-0 states.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MWISInstance, assemble_layout, logical_subspace
+from .assembly import MWISInstance, assemble_layout, logical_subspace, lone_instance
 from .errors import (
     GeometryError,
     NoRootInRange,
@@ -45,8 +47,6 @@ from .errors import (
 from .gadgets import Gadget
 from .mwis import ud_graph
 from .physics import diagonal_energy, mask_of, pair_matrix
-
-_COPY_KINDS = ("link", "fork")
 
 # Sweeping a slot deposit onto the ports: the half-difference map sends the
 # per-state deposits (a, b, c) to port increments that move every logical
@@ -345,6 +345,14 @@ def homogeneous_weights(gadget: Gadget) -> np.ndarray:
     return w
 
 
+def _sweep_to_ports(gadget, nodes, deps, out):
+    """Add the half-difference sweep of per-state deposits onto the ports."""
+    moved = _TRANSFER @ deps
+    for idx, shares in _PORT_SHARES[gadget.kind].items():
+        for port, frac in shares:
+            out[nodes[gadget.ports[port]]] += moved[idx - 1] * frac
+
+
 def _sweep_slots(gadget, nodes, bare, w1, w2):
     """Move slot deposits onto the ports, preserving state degeneracy."""
     deps = np.zeros(3)
@@ -354,10 +362,7 @@ def _sweep_slots(gadget, nodes, bare, w1, w2):
             d = w1[a] - bare[a]
             deps[idx - 1] += d
             w2[a] -= d
-    moved = _TRANSFER @ deps
-    for idx, shares in _PORT_SHARES[gadget.kind].items():
-        for port, frac in shares:
-            w2[nodes[gadget.ports[port]]] += moved[idx - 1] * frac
+    _sweep_to_ports(gadget, nodes, deps, w2)
 
 
 def homogenize(instance: MWISInstance, w1: np.ndarray) -> np.ndarray:
@@ -377,42 +382,6 @@ def homogenize(instance: MWISInstance, w1: np.ndarray) -> np.ndarray:
     for kdx in instance.modules:
         e = instance.elements[kdx]
         _sweep_slots(e.gadget, e.nodes, instance.weights, w1, w2)
-    return w2
-
-
-def compensate_gadget(gadget: Gadget, config) -> np.ndarray:
-    """Tail corrections for one free-standing gadget (its own pairs only)."""
-    v = _tail_pairs(gadget.positions, config.blockade_radius, config.c6)
-    nodes = tuple(range(gadget.n))
-    w1 = gadget.weights.astype(float).copy()
-    if gadget.kind in _COPY_KINDS:
-        corr = _copy_correction(
-            v, nodes, gadget.logical_states, gadget.ports, config.detuning
-        )
-    else:
-        pairs = [
-            (a, b)
-            for a in range(gadget.n)
-            for b in range(a + 1, gadget.n)
-            if v[a, b] != 0.0
-        ]
-        occ = [
-            {a: (st >> a) & 1 for a in range(gadget.n)}
-            for st in gadget.logical_states
-        ]
-        corr = _module_deposits(
-            v, pairs, occ, gadget.comp_slots, nodes, config.detuning
-        )
-    for atom, c in corr.items():
-        w1[atom] += c
-    return w1
-
-
-def homogenize_gadget(gadget: Gadget, w1: np.ndarray) -> np.ndarray:
-    """Single-gadget version of :func:`homogenize` (same conventions)."""
-    w2 = np.asarray(w1, dtype=float) - gadget.weights + homogeneous_weights(gadget)
-    if gadget.kind in _PORT_SHARES:
-        _sweep_slots(gadget, tuple(range(gadget.n)), gadget.weights, w1, w2)
     return w2
 
 
@@ -716,10 +685,7 @@ def _module_anchor_shift(instance, anchor_positions):
             for st in e.gadget.logical_states
         ]
         deps = np.array([phis[1], phis[2], phis[3]]) - phis[0]
-        moved = _TRANSFER @ (deps / cfg.detuning)
-        for idx, shares in _PORT_SHARES[e.gadget.kind].items():
-            for port, frac in shares:
-                shift[e.nodes[e.gadget.ports[port]]] += moved[idx - 1] * frac
+        _sweep_to_ports(e.gadget, e.nodes, deps / cfg.detuning, shift)
     return shift
 
 
@@ -966,16 +932,19 @@ class AnchoredGadget:
 def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
     """Anchor every port of a free-standing gadget and polish to degeneracy.
 
-    Each port gets an always-excited atom on its outward axis.  Distances
-    start from the single-atom inversion of the homogenised port weight and
-    are then polished orbit by orbit (a Gauss–Seidel sweep over the symmetry
-    orbits) on the exact energy differences of the full gadget-plus-anchor
-    system, to ``tol`` in units of the nearest-neighbour pair energy.
+    The gadget is wrapped as a one-element instance and compensated and
+    homogenised by the same ``tail_compensate`` and ``homogenize`` as a full
+    instance.  Each port then gets an always-excited atom on its outward
+    axis.  Distances start from the single-atom inversion of the homogenised
+    port weight and are then polished orbit by orbit (a Gauss–Seidel sweep
+    over the symmetry orbits) on the exact energy differences of the full
+    gadget-plus-anchor system, to ``tol`` in units of the nearest-neighbour
+    pair energy.  Only this polish is specific to free-standing gadgets.
     """
     cfg = config
     dlt = cfg.detuning
-    w1 = compensate_gadget(gadget, cfg)
-    w2 = homogenize_gadget(gadget, w1)
+    lone = lone_instance(gadget, cfg)
+    w2 = homogenize(lone, tail_compensate(lone))
     names = list(gadget.ports)
     dist = {}
     for name in names:

@@ -170,8 +170,9 @@ class TestVerify:
         assert report["verified"] and report["decode_consistent"]
         assert report["optimum"] == 0.0
 
-    def test_bad_gadget_spec(self, tmp_path):
-        code, _ = run(tmp_path, "verify", "--problem", "hexagon")
+    @pytest.mark.parametrize("spec", ["hexagon", "link:4", "link:2"])
+    def test_bad_gadget_spec(self, tmp_path, spec):
+        code, _ = run(tmp_path, "verify", "--problem", spec)
         assert code == 2
 
     def test_sized_non_link_gadget_rejected(self, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydcomp.assembly import assemble_layout, logical_subspace
+from rydcomp.assembly import assemble_layout, logical_subspace, lone_instance
 from rydcomp.errors import (
     GeometryError,
     NoRootInRange,
@@ -30,12 +30,10 @@ from rydcomp.programming import (
     balance_open_ports,
     build_global_layout,
     chain_profile,
-    compensate_gadget,
     displace_atoms,
     displacement_shift,
     homogeneous_weights,
     homogenize,
-    homogenize_gadget,
     place_anchor,
     plan_anchors,
     quadratic_model,
@@ -99,6 +97,21 @@ class TestQuadraticModel:
         assert curv == pytest.approx(10.0, rel=1e-6)
 
 
+class TestLoneInstance:
+    @pytest.mark.parametrize("kind", ["link", "three_body", "kite", "fork", "f3"])
+    def test_wraps_gadget_as_one_element(self, kind):
+        g = make_gadget(kind, config=CFG3, length=5 if kind == "link" else None)
+        inst = lone_instance(g, CFG3)
+        assert np.array_equal(inst.positions, g.positions)
+        assert np.array_equal(inst.weights, g.weights)
+        assert len(inst.elements) == 1
+        assert inst.elements[0].nodes == tuple(range(g.n))
+        if kind in MODULE_KINDS:
+            assert inst.modules == (0,) and inst.copies == ()
+        else:
+            assert inst.copies == (0,) and inst.modules == ()
+
+
 class TestTailCompensation:
     # Five-atom chain, both logical states: the ends-on state carries
     # next-nearest pairs (0,2), (2,4) at distance 2 and (0,4) at distance 4,
@@ -107,7 +120,7 @@ class TestTailCompensation:
     @pytest.mark.parametrize("cfg", [CFG3, CFG4], ids=["ratio3", "ratio4"])
     def test_link5_end_correction(self, cfg):
         g = make_gadget("link", length=5, config=cfg)
-        corr = compensate_gadget(g, cfg) - g.weights
+        corr = tail_compensate(lone_instance(g, cfg)) - g.weights
         expected = cfg.c6 * (1.0 / 64.0 + 1.0 / 4096.0) / (2.0 * cfg.detuning)
         for port in ("p0", "p1"):
             assert corr[g.ports[port]] == pytest.approx(expected, abs=1e-15)
@@ -116,7 +129,7 @@ class TestTailCompensation:
 
     def test_link5_frozen_value(self):
         g = make_gadget("link", length=5, config=CFG4)
-        w1 = compensate_gadget(g, CFG4)
+        w1 = tail_compensate(lone_instance(g, CFG4))
         assert w1[g.ports["p0"]] == 1.03173828125
         assert w1[g.ports["p1"]] == 1.03173828125
 
@@ -127,7 +140,7 @@ class TestTailCompensation:
     )
     def test_gadget_states_tie_exactly(self, kind, length):
         g = make_gadget(kind, config=CFG3, length=length)
-        w1 = compensate_gadget(g, CFG3)
+        w1 = tail_compensate(lone_instance(g, CFG3))
         es = state_energies(
             g.positions, w1, CFG3.detuning, g.logical_states, CFG3.c6
         )
@@ -209,15 +222,15 @@ class TestSlotSweep:
     @pytest.mark.parametrize("kind", MODULE_KINDS)
     def test_slot_deposits_shift_all_states_by_half_total(self, kind):
         g = make_gadget(kind, config=CFG3)
-        w1 = compensate_gadget(g, CFG3)
-        base = homogenize_gadget(g, w1)
+        w1 = tail_compensate(lone_instance(g, CFG3))
+        base = homogenize(lone_instance(g, CFG3), w1)
         rng = np.random.default_rng(2026)
         for _ in range(10):
             draw = rng.uniform(-0.1, 0.1, size=3)
             w1p = w1.copy()
             for idx, x in zip((1, 2, 3), draw):
                 w1p[g.comp_slots[idx][0]] += x
-            w2p = homogenize_gadget(g, w1p)
+            w2p = homogenize(lone_instance(g, CFG3), w1p)
             for m in g.logical_states:
                 on = [a for a in range(g.n) if (m >> a) & 1]
                 before = sum(w1p[a] - w1[a] for a in on)
@@ -230,13 +243,13 @@ class TestSlotSweep:
     def test_homogenized_argmax_is_unchanged(self, kind):
         g = make_gadget(kind, config=CFG3)
         graph = ud_graph(g.positions, CFG3.blockade_radius)
-        w1 = compensate_gadget(g, CFG3)
+        w1 = tail_compensate(lone_instance(g, CFG3))
         rng = np.random.default_rng(7)
         for _ in range(3):
             w1p = w1.copy()
             for idx, x in zip((1, 2, 3), rng.uniform(-0.1, 0.1, size=3)):
                 w1p[g.comp_slots[idx][0]] += x
-            w2p = homogenize_gadget(g, w1p)
+            w2p = homogenize(lone_instance(g, CFG3), w1p)
             assert set(solve_mwis(graph, w1p).masks) == set(
                 solve_mwis(graph, w2p).masks
             )
