@@ -36,7 +36,7 @@ from . import reports
 from .errors import GeometryError, ProblemFormatError, RydcompError, ValidationError
 from .gadgets import KINDS, make_gadget
 from .parity import compile_parity, decode, decompose_all
-from .physics import PhysicsConfig, diagonal_energy, mask_of, spectrum
+from .physics import PhysicsConfig, diagonal_energy, mask_of, moving_energy, spectrum
 from .problems import brute_force_optimum, evaluate, load_problem, parse_problem
 from .programming import balance_open_ports, build_global_layout, displacement_shift, solve_bracketed
 
@@ -110,15 +110,18 @@ def build_link_testbed(config: PhysicsConfig, length: int = 5, *, end_distance: 
         m for m in gadget.logical_states if not (m >> center) & 1
     ) | anchor_bits
     det = config.detuning
+    x = float(pos[center, 0])
+    top = np.vstack([base, [x, 0.5 * d]])
+    e_on, e_off = (
+        moving_energy(top, det, m, config.c6, (length + 2,))
+        for m in (center_on, center_off)
+    )
 
     def split(y):
-        stacked = np.vstack([base, [pos[center, 0], y]])
-        return diagonal_energy(stacked, det, center_on, config.c6) - diagonal_energy(
-            stacked, det, center_off, config.c6
-        )
+        return e_on([(x, y)]) - e_off([(x, y)])
 
     height = solve_bracketed(split, 0.5 * d, 5.0 * d, tol=1e-13 * det)
-    positions = np.vstack([base, [pos[center, 0], height]])
+    positions = np.vstack([base, [x, height]])
     return LinkTestbed(
         config, positions, center_on, center_off, center, length + 2, height
     )

@@ -7,6 +7,9 @@ Atoms are treated as classical occupation patterns of the diagonal Hamiltonian
 with a global, resonant drive (so the drive amplitude never enters the
 energies; it is recorded on the config purely for layout documents).
 Occupation patterns are plain integer bitmasks with atom ``i`` on bit ``i``.
+``diagonal_energy`` is the reference pair sum; ``moving_energy`` is its
+kernel for root solving, which fixes one pattern and recomputes only the
+pairs of the atoms that move, bitwise equal to ``diagonal_energy``.
 
 Spectra are exact: no interaction tails are ever truncated.  Up to 20 atoms a
 vectorised full enumeration is used; larger layouts go through a spatial-block
@@ -17,6 +20,9 @@ terms), so every configuration inside the requested window is found.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import add
 
 import numpy as np
 
@@ -136,6 +142,52 @@ def diagonal_energy(positions, detunings, config: int, c6=None, *, pair_energy=N
                 )
             e += c6 / d2**3
     return e
+
+
+def moving_energy(positions, detunings, config: int, c6, moving=()):
+    """``diagonal_energy`` of one pattern as a function of where some atoms sit.
+
+    Returns ``f(rows)``: the energy of ``config`` when atom ``moving[k]`` sits
+    at ``rows[k]`` and every other atom stays at ``positions`` (the rows given
+    there for the moving atoms are ignored).  The ``-sum detuning`` head and
+    the fixed-fixed pair terms are computed once, in ``diagonal_energy``'s
+    ``(a < b)`` order over the excited atoms; a call recomputes only the pairs
+    that touch an excited moving atom and then adds the terms one by one in
+    that order, so the result is bitwise equal to ``diagonal_energy``.  Raises
+    GeometryError, as that function does, when two excited atoms coincide.
+    Positions are planar ``(x, y)`` rows.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    det = np.broadcast_to(np.asarray(detunings, dtype=float), (n,))
+    idx = [i for i in range(n) if (config >> i) & 1]
+    head = -float(det[idx].sum()) if idx else 0.0
+    row_of = {i: k for k, i in enumerate(moving)}
+    pts = pos.tolist()
+    terms, slots = [], []
+    for i, j in combinations(idx, 2):
+        if i in row_of or j in row_of:
+            slots.append((len(terms), i, j, row_of.get(i), row_of.get(j)))
+            terms.append(0.0)
+            continue
+        d2 = float(((pos[i] - pos[j]) ** 2).sum())
+        if d2 < _COINCIDENT**2:
+            raise GeometryError(f"excited atoms {i} and {j} coincide")
+        terms.append(c6 / d2**3)
+
+    def energy(rows):
+        for t, i, j, ri, rj in slots:
+            px, py = pts[i] if ri is None else rows[ri]
+            qx, qy = pts[j] if rj is None else rows[rj]
+            dx = px - qx
+            dy = py - qy
+            d2 = dx * dx + dy * dy  # what numpy's two-term sum gives
+            if d2 < _COINCIDENT**2:
+                raise GeometryError(f"excited atoms {i} and {j} coincide")
+            terms[t] = c6 / d2**3
+        return reduce(add, terms, head)  # left to right, as diagonal_energy adds
+
+    return energy
 
 
 @dataclass(frozen=True)

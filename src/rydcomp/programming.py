@@ -46,7 +46,7 @@ from .errors import (
 )
 from .gadgets import Gadget
 from .mwis import ud_graph
-from .physics import diagonal_energy, mask_of, pair_matrix
+from .physics import mask_of, moving_energy, pair_matrix
 
 # Sweeping a slot deposit onto the ports: the half-difference map sends the
 # per-state deposits (a, b, c) to port increments that move every logical
@@ -93,27 +93,27 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, samples=128):
     def g(y):
         return fn(y) - target
 
-    ys = np.linspace(lo, hi, samples)
-    vals = [g(float(y)) for y in ys]
+    ys = np.linspace(lo, hi, samples).tolist()
+    vals = [g(y) for y in ys]
     bracket = None
     for k in range(samples - 1):
         if vals[k] == 0.0:
-            bracket = (float(ys[k]), float(ys[k]))
+            bracket = (k, k)
             break
         if vals[k] * vals[k + 1] < 0.0:
-            bracket = (float(ys[k]), float(ys[k + 1]))
+            bracket = (k, k + 1)
             break
     else:
         if vals[-1] == 0.0:
-            bracket = (hi, hi)
+            bracket = (-1, -1)
     if bracket is None:
         raise NoRootInRange(
             f"no sign change against target {target:.6g} in [{lo:.6g}, {hi:.6g}]",
             lo,
             hi,
         )
-    a, b = bracket
-    fa, fb = g(a), g(b)
+    a, b = (ys[k] for k in bracket)
+    fa, fb = (vals[k] for k in bracket)
     if fa == 0.0:
         b, fb = a, fa
     for _ in range(100):
@@ -219,6 +219,8 @@ def _assign_module_pairs(instance, v):
     no qualifying owner (atoms of unrelated plaquettes) stay uncompensated
     and are part of the documented error budget.
     """
+    if not instance.modules:
+        return {}
     n = instance.n_atoms
     module_of, touch = _chains_touching(instance)
     chain_of = {}
@@ -939,7 +941,11 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
     port weight and are then polished orbit by orbit (a Gauss–Seidel sweep
     over the symmetry orbits) on the exact energy differences of the full
     gadget-plus-anchor system, to ``tol`` in units of the nearest-neighbour
-    pair energy.  Only this polish is specific to free-standing gadgets.
+    pair energy.  Each logical state gets one ``physics.moving_energy``
+    kernel with the anchors as its moving atoms, so a trial distance
+    recomputes only the anchor pairs, bitwise equal to ``diagonal_energy``
+    on the stacked layout.  Only this polish is specific to free-standing
+    gadgets.
     """
     cfg = config
     dlt = cfg.detuning
@@ -956,28 +962,39 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
             )
         dist[name] = (cfg.c6 / miss) ** (1.0 / 6.0)
 
-    def anchor_positions(d):
-        rows = []
-        for name in names:
-            base = gadget.positions[gadget.ports[name]]
-            axis = np.asarray(gadget.port_axes[name], dtype=float)
-            rows.append(base + d[name] * axis / np.linalg.norm(axis))
-        return np.array(rows)
+    rays = []
+    for name in names:
+        axis = np.asarray(gadget.port_axes[name], dtype=float)
+        base = gadget.positions[gadget.ports[name]]
+        rays.append((base.tolist(), axis.tolist(), float(np.linalg.norm(axis))))
+
+    def anchor_rows(d):
+        # base + d * axis / |axis|, in floats, term by term as numpy does it
+        return [
+            [b + d[name] * u / norm for b, u in zip(base, axis)]
+            for name, (base, axis, norm) in zip(names, rays)
+        ]
 
     def stacked(d):
-        return np.vstack([gadget.positions, anchor_positions(d)])
+        return np.vstack([gadget.positions, anchor_rows(d)])
 
-    a_mask = mask_of(range(gadget.n, gadget.n + len(names)))
+    anchor_atoms = range(gadget.n, gadget.n + len(names))
+    a_mask = mask_of(anchor_atoms)
+    first = stacked(dist)
+    kernels = [
+        moving_energy(first, dlt, m | a_mask, cfg.c6, anchor_atoms)
+        for m in gadget.logical_states
+    ]
 
-    def energy(state_idx, d):
-        m = gadget.logical_states[state_idx] | a_mask
-        return diagonal_energy(stacked(d), dlt, m, cfg.c6)
+    def split(d, hi, lo):
+        rows = anchor_rows(d)
+        return kernels[hi](rows) - kernels[lo](rows)
 
     orbits = _ORBITS[gadget.kind]
     scale = tol * cfg.energy_unit
 
     def conditions(d):
-        return [energy(hi, d) - energy(lo, d) for _, (hi, lo) in orbits]
+        return [split(d, hi, lo) for _, (hi, lo) in orbits]
 
     for _ in range(max_rounds):
         for members, (hi, lo) in orbits:
@@ -986,7 +1003,7 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
                 trial = dict(dist)
                 for name in members:
                     trial[name] = y
-                return energy(hi, trial) - energy(lo, trial)
+                return split(trial, hi, lo)
 
             y = solve_bracketed(
                 gap, 0.25 * cfg.spacing, 6.0 * cfg.spacing, tol=scale
@@ -1001,10 +1018,9 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
         )
 
     pos = stacked(dist)
-    ref = energy(0, dist)
-    worst = max(
-        abs(energy(k, dist) - ref) for k in range(len(gadget.logical_states))
-    )
+    rows = anchor_rows(dist)
+    ref = kernels[0](rows)
+    worst = max(abs(energy(rows) - ref) for energy in kernels)
     if worst > 10.0 * scale:
         raise PipelineError(
             "balance",

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydcomp import physics
@@ -11,6 +12,7 @@ from rydcomp.errors import (
     GeometryError,
     ValidationError,
 )
+from rydcomp.gadgets import make_gadget
 
 
 def brute_energy(positions, detunings, mask, c6):
@@ -123,6 +125,80 @@ class TestDiagonalEnergy:
         expected = brute_energy(pos, det, mask, 2.7)
         got = physics.diagonal_energy(pos, det, mask, c6=2.7)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def catalogue_gadget(spec):
+    kind, _, length = spec.partition(":")
+    cfg = physics.PhysicsConfig(interaction_ratio=3.0)
+    return make_gadget(kind, config=cfg, length=int(length) if length else None), cfg
+
+
+class TestMovingEnergy:
+    @pytest.mark.parametrize(
+        "spec", ["kite", "f3", "fork", "three_body", "link:5", "link:21"]
+    )
+    @given(st.lists(st.floats(0.25, 6.0), min_size=4, max_size=4))
+    @example([0.25] * 4)
+    @example([6.0] * 4)
+    @settings(max_examples=40, deadline=None)
+    def test_port_anchors_bitwise_equal_to_diagonal_energy(self, spec, dists):
+        g, cfg = catalogue_gadget(spec)
+        rows = []
+        for (name, node), d in zip(g.ports.items(), dists):
+            axis = np.asarray(g.port_axes[name], dtype=float)
+            rows.append(g.positions[node] + d * axis / np.linalg.norm(axis))
+        pos = np.vstack([g.positions, rows])
+        anchors = range(g.n, len(pos))
+        # the kernel ignores where the moving atoms sit at construction
+        placeholder = np.vstack([g.positions, np.zeros((len(rows), 2))])
+        for state in g.logical_states:
+            m = state | physics.mask_of(anchors)
+            f = physics.moving_energy(placeholder, cfg.detuning, m, cfg.c6, anchors)
+            try:
+                expected = physics.diagonal_energy(pos, cfg.detuning, m, cfg.c6)
+            except GeometryError:
+                with pytest.raises(GeometryError):
+                    f(rows)
+            else:
+                assert f(rows) == expected
+
+    @given(
+        st.integers(min_value=0, max_value=2**6 - 1),
+        st.integers(min_value=0, max_value=2**6 - 1),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_layouts_bitwise_equal(self, mask, moving_mask, seed):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 5, size=(6, 2))
+        det = rng.uniform(0.5, 2.0, size=6)
+        moving = physics.nodes_of(moving_mask, 6)
+        f = physics.moving_energy(pos, det, mask, 2.7, moving)
+        pos[moving] = rng.uniform(0, 5, size=(len(moving), 2))
+        assert f(pos[moving]) == physics.diagonal_energy(pos, det, mask, c6=2.7)
+
+    def test_idle_moving_atom_has_no_pairs(self):
+        pos = chain(4)
+        f = physics.moving_energy(pos, 1.0, 0b0101, 3.0, (1,))
+        expected = physics.diagonal_energy(pos, 1.0, 0b0101, c6=3.0)
+        assert f([[0.0, 0.0]]) == expected
+        assert f([[2.0, 0.0]]) == expected
+
+    def test_nothing_moving(self):
+        pos = chain(5)
+        f = physics.moving_energy(pos, 1.0, 0b10101, 3.0, ())
+        assert f([]) == physics.diagonal_energy(pos, 1.0, 0b10101, c6=3.0)
+
+    def test_moving_onto_excited_atom_raises(self):
+        pos = chain(3)
+        f = physics.moving_energy(pos, 1.0, 0b111, 1.0, (2,))
+        on_top = pos.copy()
+        on_top[2] = pos[0]
+        with pytest.raises(GeometryError):
+            physics.diagonal_energy(on_top, 1.0, 0b111, c6=1.0)
+        with pytest.raises(GeometryError):
+            f([pos[0]])
 
 
 class TestMaskHelpers:
