@@ -45,7 +45,6 @@ from .errors import (
     ValidationError,
 )
 from .gadgets import Gadget
-from .mwis import ud_graph
 from .physics import mask_of, moving_energy, pair_matrix
 
 # Sweeping a slot deposit onto the ports: the half-difference map sends the
@@ -160,11 +159,10 @@ def quadratic_model(fn, y0, h=1e-4):
 # step 1: exact tail compensation
 
 
-def _tail_pairs(positions, radius, c6):
+def _tail_pairs(instance):
     """Pair energies of every non-edge pair; edges and diagonal are zero."""
-    v = pair_matrix(positions, c6)
-    g = ud_graph(positions, radius)
-    for i, j in g.edges:
+    v = pair_matrix(instance.positions, instance.config.c6)
+    for i, j in instance.graph.edges:
         v[i, j] = 0.0
         v[j, i] = 0.0
     return v
@@ -232,27 +230,25 @@ def _assign_module_pairs(instance, v):
         for a in e.nodes:
             elements_of[a].add(kdx)
     out = {kdx: [] for kdx in instance.modules}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if v[a, b] == 0.0:
-                continue
-            shared = elements_of[a] & elements_of[b]
-            if any(not instance.elements[k].is_module for k in shared):
-                continue  # same chain element: the copy pass owns it
-            ma, mb = module_of.get(a), module_of.get(b)
-            ca, cb = chain_of.get(a), chain_of.get(b)
-            owner = None
-            if ma is not None and mb is not None:
-                owner = ma if ma == mb else None
-            elif ma is not None:
-                owner = ma if cb is not None and ma in touch[cb] else None
-            elif mb is not None:
-                owner = mb if ca is not None and mb in touch[ca] else None
-            elif ca is not None and cb is not None:
-                common = touch[ca] & touch[cb]
-                owner = min(common) if common else None
-            if owner is not None:
-                out[owner].append((a, b))
+    rows, cols = np.nonzero(np.triu(v, 1))  # row-major: the (a < b) order
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        shared = elements_of[a] & elements_of[b]
+        if any(not instance.elements[k].is_module for k in shared):
+            continue  # same chain element: the copy pass owns it
+        ma, mb = module_of.get(a), module_of.get(b)
+        ca, cb = chain_of.get(a), chain_of.get(b)
+        owner = None
+        if ma is not None and mb is not None:
+            owner = ma if ma == mb else None
+        elif ma is not None:
+            owner = ma if cb is not None and ma in touch[cb] else None
+        elif mb is not None:
+            owner = mb if ca is not None and mb in touch[ca] else None
+        elif ca is not None and cb is not None:
+            common = touch[ca] & touch[cb]
+            owner = min(common) if common else None
+        if owner is not None:
+            out[owner].append((a, b))
     return out
 
 
@@ -299,7 +295,7 @@ def tail_compensate(instance: MWISInstance) -> np.ndarray:
     weights tie the logical manifold exactly.
     """
     cfg = instance.config
-    v = _tail_pairs(instance.positions, cfg.blockade_radius, cfg.c6)
+    v = _tail_pairs(instance)
     w1 = instance.weights.astype(float).copy()
     for kdx in instance.copies:
         e = instance.elements[kdx]

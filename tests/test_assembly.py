@@ -5,6 +5,7 @@ import pytest
 
 from rydcomp.assembly import assemble_layout, logical_subspace, read_values
 from rydcomp.errors import GeometryError, PipelineError, ValidationError
+from rydcomp.mwis import solve_mwis
 from rydcomp.parity import compile_parity, decode, decompose_all, parity_energy
 from rydcomp.physics import PhysicsConfig
 from rydcomp.problems import evaluate, parse_problem
@@ -90,6 +91,21 @@ class TestKiteGrid:
     def test_larger_grid_certifies(self):
         states = logical_subspace(instance("K_{2,4}"))
         assert len(states) == 2 ** 5
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_wide_grids_certify(self, m):
+        states = logical_subspace(instance(f"K_{{2,{m}}}"))
+        assert len(states) == 2 ** (m + 1)
+
+    def test_solver_memo_grows_linearly_with_columns(self):
+        # K_{2,2}..K_{2,6} memoise 73, 184, 370, 536 and 702 residual sets
+        # along the sweep.  Branching in descending (weight, degree) order
+        # memoises 127, 502, 1943, 7668 and 30551: about 4x per column.
+        sizes = []
+        for m in range(2, 7):
+            inst = instance(f"K_{{2,{m}}}")
+            sizes.append(solve_mwis(inst.graph, inst.weights).subproblems)
+        assert max(np.diff(sizes)) <= 250
 
 
 class TestSingleTriangle:

@@ -126,6 +126,48 @@ class TestSolve:
         assert list(sol.masks) == masks
 
 
+@st.composite
+def tied_layouts(draw):
+    """Up to 12 atoms on a half-spacing grid with half-integer weights.
+
+    Exact weights make degenerate maximisers common, a 4 x 4 field often
+    leaves the graph disconnected, and no grid distance equals the radius
+    1.25, so no boundary pair is flagged.
+    """
+    n = draw(st.integers(1, 12))
+    grid = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    cells = draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return np.array(cells) / 2.0, np.array(weights) / 2.0
+
+
+class TestSweepSolver:
+    @given(tied_layouts())
+    @settings(max_examples=80, deadline=None)
+    def test_tied_weights_match_enumeration_oracle(self, layout):
+        pos, w = layout
+        g = mwis.ud_graph(pos, 1.25)
+        sol = mwis.solve_mwis(g, w)
+        best, masks = brute_mwis(g, w)
+        assert sol.value == best
+        assert list(sol.masks) == masks
+
+    @given(tied_layouts(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_relabels_the_maximisers(self, layout, rnd):
+        pos, w = layout
+        perm = list(range(len(w)))
+        rnd.shuffle(perm)  # new label k is old atom perm[k]
+        sol = mwis.solve_mwis(mwis.ud_graph(pos, 1.25), w)
+        moved = mwis.solve_mwis(mwis.ud_graph(pos[perm], 1.25), w[perm])
+        relabelled = sorted(
+            sum(1 << k for k, old in enumerate(perm) if (m >> old) & 1)
+            for m in sol.masks
+        )
+        assert moved.value == sol.value
+        assert list(moved.masks) == relabelled
+
+
 class TestStepEnergy:
     def test_adjacent_pair_pays_coupling(self):
         g = mwis.ud_graph(chain(3), 1.2)
