@@ -127,22 +127,22 @@ class _Builder:
                 )
             nodes[local] = gid
             self.w[gid] += float(gadget.weights[local])
-        fused = set(merge.values())
-        for local in range(gadget.n):
-            if nodes[local] is not None:
-                continue
-            p = gadget.positions[local]
-            for gid in range(n_before):
-                q = self.pos[gid]
-                if gid in fused:
-                    continue
-                if float(np.linalg.norm(p - q)) < rb:
-                    raise GeometryError(
-                        f"{gadget.kind} atom {local} clashes with existing atom "
-                        f"{gid} (closer than the blockade radius)"
-                    )
+        fresh = [local for local in range(gadget.n) if nodes[local] is None]
+        if fresh and n_before:
+            # new atoms against every placed atom but the fused ones; the
+            # first clash in (local, gid) order is the one reported
+            diff = gadget.positions[fresh][:, None, :] - np.asarray(self.pos)[None, :, :]
+            clash = np.linalg.norm(diff, axis=2) < rb
+            clash[:, list(merge.values())] = False
+            rows, gids = np.nonzero(clash)
+            if len(rows):
+                raise GeometryError(
+                    f"{gadget.kind} atom {fresh[rows[0]]} clashes with existing atom "
+                    f"{gids[0]} (closer than the blockade radius)"
+                )
+        for local in fresh:
             nodes[local] = len(self.pos)
-            self.pos.append(np.asarray(p, dtype=float))
+            self.pos.append(np.asarray(gadget.positions[local], dtype=float))
             self.w.append(float(gadget.weights[local]))
         placed = PlacedGadget(
             gadget.kind,

@@ -14,7 +14,11 @@ pairs of the atoms that move, bitwise equal to ``diagonal_energy``.
 Spectra are exact: no interaction tails are ever truncated.  Up to 20 atoms a
 vectorised full enumeration is used; larger layouts go through a spatial-block
 branch-and-bound whose bound is admissible (it drops only non-negative cross
-terms), so every configuration inside the requested window is found.
+terms), so every configuration inside the requested window is found.  Its
+block tables are also cut by a single-flip rule: a block configuration goes
+when flipping one of its atoms lowers every completion of it by more than the
+window.  Such a state lies above the ground energy plus the window, and the
+ground state itself never loses energy to a flip, so the rule is exact.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from .errors import EnumerationBudgetError, GeometryError, ValidationError
 
 _COINCIDENT = 1e-12
+_BLOCK_SIZE = 10  # atoms per block of the branch-and-bound's first tables
 
 
 @dataclass(frozen=True)
@@ -69,11 +74,6 @@ class PhysicsConfig:
         return self.interaction_ratio ** (1.0 / 6.0) * self.spacing
 
 
-def vdw(r, c6):
-    """Pair energy C6 / r**6 (elementwise over ``r``)."""
-    return c6 / np.asarray(r, dtype=float) ** 6
-
-
 def pair_matrix(positions, c6):
     """Full symmetric matrix of pair energies, zero diagonal.
 
@@ -99,17 +99,9 @@ def mask_of(nodes) -> int:
     return m
 
 
-def nodes_of(mask: int, n: int):
-    return [i for i in range(n) if (mask >> i) & 1]
-
-
 def bitstring(mask: int, n: int) -> str:
     """Render a mask as '0101...' with atom 0 leftmost."""
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
-
-
-def mask_from_bitstring(s: str) -> int:
-    return sum(1 << i for i, ch in enumerate(s) if ch == "1")
 
 
 def diagonal_energy(positions, detunings, config: int, c6=None, *, pair_energy=None):
@@ -199,10 +191,17 @@ class SpectrumEntry:
 
 @dataclass
 class SpectrumResult:
+    """Sorted window of a spectrum.
+
+    ``peak_table`` counts the most rows any block table or frontier of the
+    branch-and-bound held after pruning (``2**n_atoms`` on the dense path).
+    """
+
     entries: list
     truncated: bool
     window: float
     n_atoms: int
+    peak_table: int = 0
 
     @property
     def ground_energy(self) -> float:
@@ -219,7 +218,6 @@ def spectrum(
     hint_configs=(),
     logical_masks=(),
     max_frontier=2_000_000,
-    block_size=10,
 ) -> SpectrumResult:
     """All configurations with energy in [E0, E0 + window], sorted.
 
@@ -238,9 +236,10 @@ def spectrum(
         e0 = float(energies.min())
         keep = np.nonzero(energies <= e0 + window + 1e-12)[0]
         pairs = [(float(energies[m]), int(m)) for m in keep]
+        peak = 1 << n
     else:
-        pairs = _block_enumerate(
-            pos, det, c6, window, hint_configs, max_frontier, block_size
+        pairs, peak = _block_enumerate(
+            pos, det, c6, window, hint_configs, max_frontier
         )
     pairs.sort(key=lambda t: (t[0], t[1]))
     truncated = cap is not None and len(pairs) > cap
@@ -248,12 +247,7 @@ def spectrum(
         pairs = pairs[:cap]
     marks = set(int(m) for m in logical_masks)
     entries = [SpectrumEntry(e, m, m in marks) for e, m in pairs]
-    return SpectrumResult(entries, truncated, window, n)
-
-
-def rescale(energies, ground, unit):
-    """Shift by the ground energy and express in units of ``unit``."""
-    return (np.asarray(energies, dtype=float) - ground) / unit
+    return SpectrumResult(entries, truncated, window, n, peak)
 
 
 def _dense_energies(pos, det, c6):
@@ -272,17 +266,19 @@ def _dense_energies(pos, det, c6):
     return out
 
 
-def _lex_blocks(pos, block_size):
+def _lex_blocks(pos):
     """Split the atoms into consecutive runs of a left-to-right sweep.
 
     Atoms are ordered by (x, y, index) and chopped into runs of at most
-    ``block_size``, so the blocks form a path across the layout: each block
+    ``_BLOCK_SIZE``, so the blocks form a path across the layout: each block
     couples strongly only to its neighbours in the sequence, with the
     couplings across larger separations decaying like 1/r^6.  That locality
     is what makes the chain messages below tight.
     """
     order = sorted(range(len(pos)), key=lambda i: (pos[i, 0], pos[i, 1], i))
-    return [sorted(order[s : s + block_size]) for s in range(0, len(order), block_size)]
+    return [
+        sorted(order[s : s + _BLOCK_SIZE]) for s in range(0, len(order), _BLOCK_SIZE)
+    ]
 
 
 def _config_table(blk, det, v):
@@ -292,6 +288,33 @@ def _config_table(blk, det, v):
     vbb = v[np.ix_(blk, blk)]
     e = -(occ @ det[blk]) + 0.5 * np.einsum("ij,ij->i", occ @ vbb, occ)
     return blk, occ, e
+
+
+def _flip_prune(table, det, v, slack):
+    """Drop the configs of a block table that one atom flip undercuts by ``slack``.
+
+    Pair energies are repulsive, so an excited atom ``i`` whose in-block
+    field exceeds its detuning by more than ``slack`` costs every completion
+    at least that much: removing it lowers the energy by more.  An empty atom
+    ``j`` whose detuning exceeds its in-block field plus its coupling to
+    every atom outside the block likewise lowers every completion when
+    added, even with all outside atoms excited.  A config with either atom
+    only completes to states more than ``slack`` above some other state.
+    """
+    atoms, occ, e = table
+    others = np.ones(len(v), dtype=bool)
+    others[atoms] = False
+    vbb = v[np.ix_(atoms, atoms)]
+    d = det[atoms]
+    outside = v[np.ix_(atoms, others)].sum(axis=1)
+    keep = np.ones(len(e), dtype=bool)
+    step = max(1, (1 << 22) // len(atoms))
+    for s in range(0, len(e), step):
+        o = occ[s : s + step]
+        field = o @ vbb
+        gain = np.where(o > 0.5, field - d, d - field - outside)
+        keep[s : s + step] = (gain <= slack).all(axis=1)
+    return atoms, occ[keep], e[keep]
 
 
 def _message(costs, tsrc, tdst, v):
@@ -419,7 +442,8 @@ def _join_pass(tables, v, cutoff, max_frontier, cap=1 << 26):
     return out, joined
 
 
-def _block_enumerate(pos, det, c6, window, hints, max_frontier, block_size):
+def _block_enumerate(pos, det, c6, window, hints, max_frontier):
+    """(energy, mask) pairs of the window, and the peak table or frontier size."""
     v = pair_matrix(pos, c6)
     # The empty pattern is always a valid configuration, and a greedy fill
     # (repeatedly exciting whichever atom lowers the energy most) gives a
@@ -438,22 +462,29 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier, block_size):
     incumbent = min(incumbent, cur)
     for h in hints:
         incumbent = min(incumbent, diagonal_energy(pos, det, int(h), c6))
-    cutoff = incumbent + window + 1e-9
-    # Prune-and-merge cascade: message passing shrinks the per-block config
-    # tables, merging doubles the block width, and wider blocks make the
-    # messages tighter still (the dropped non-adjacent couplings move
-    # further apart and die off like 1/r^6).  For layouts that thin out
-    # fast this ends with a single exact table; otherwise the frontier
-    # sweep below finishes the job.
-    tables = [_config_table(b, det, v) for b in _lex_blocks(pos, block_size)]
+    slack = window + 1e-9
+    cutoff = incumbent + slack
+    # Prune-and-merge cascade: the single-flip rule (see ``_flip_prune``)
+    # cuts every fresh table on its own, message passing shrinks the tables
+    # further, merging doubles the block width, and wider blocks make both
+    # tighter still (more of each atom's field is inside its block, and the
+    # dropped non-adjacent couplings move further apart and die off like
+    # 1/r^6).  For layouts that thin out fast this ends with a single exact
+    # table; otherwise the frontier sweep below finishes the job.
+    tables = [
+        _flip_prune(_config_table(b, det, v), det, v, slack) for b in _lex_blocks(pos)
+    ]
+    peak = max(len(t[2]) for t in tables)
     tables = _path_prune(tables, v, cutoff)
     while len(tables) > 1 and all(len(t[2]) for t in tables):
         tables, joined = _join_pass(tables, v, cutoff, max_frontier)
         if not joined:
             break
+        tables = [_flip_prune(t, det, v, slack) for t in tables]
+        peak = max(peak, *(len(t[2]) for t in tables))
         tables = _path_prune(tables, v, cutoff)
     if not all(len(t[2]) for t in tables):
-        return []
+        return [], peak
     _, bin_ = _chain_bounds(tables, v)
     atoms0, occ0, e0s = tables[0]
     keep0 = np.nonzero(e0s + bin_[0] <= cutoff)[0]
@@ -485,9 +516,10 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier, block_size):
                     " partial configurations"
                 )
         if not out_e:
-            return []
+            return [], peak
         fe = np.concatenate(out_e)
         focc = np.vstack(out_occ)
+        peak = max(peak, len(fe))
         done = done + blk
     e0 = float(fe.min())
     keep = np.nonzero(fe <= e0 + window + 1e-12)[0]
@@ -499,4 +531,4 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier, block_size):
             if occ_row[col] > 0.5:
                 mask |= 1 << atom
         pairs.append((float(fe[row]), mask))
-    return pairs
+    return pairs, peak

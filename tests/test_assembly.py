@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from rydcomp.assembly import assemble_layout, logical_subspace, read_values
+from rydcomp.assembly import _Builder, assemble_layout, logical_subspace, read_values
 from rydcomp.errors import GeometryError, PipelineError, ValidationError
+from rydcomp.gadgets import make_gadget
 from rydcomp.mwis import solve_mwis
 from rydcomp.parity import compile_parity, decode, decompose_all, parity_energy
 from rydcomp.physics import PhysicsConfig
@@ -20,6 +21,30 @@ def instance(tag, quadratic=(), cfg=CFG, link_length=5):
 
 
 K23_COUPLINGS = [[0, 2, 0.2], [0, 3, -0.1], [1, 4, 0.3]]
+
+
+class TestBuilder:
+    def two_links(self):
+        link = make_gadget("link", config=CFG, length=5)  # atoms at x = 0..4
+        b = _Builder(CFG)
+        b.add(link, {})
+        # fused end to end: the new atom next to the fused one sits a
+        # spacing from it, which only the fusion excuses
+        b.add(link.placed(translation=(4.0, 0.0)), {}, merge={0: 4})
+        return b, link
+
+    def test_fused_atom_is_not_a_clash(self):
+        b, _ = self.two_links()
+        pos, _, _ = b.finish()
+        np.testing.assert_array_equal(pos, [[x, 0.0] for x in range(9)])
+
+    def test_clash_names_first_new_atom_then_lowest_placed_atom(self):
+        b, link = self.two_links()
+        # a vertical link through x = 6: its atom 1 at (6, -1) clashes only
+        # with atom 6, its atom 2 at (6, 0) with atoms 5, 6 and 7
+        upright = link.placed(rotation=np.pi / 2, translation=(6.0, -2.0))
+        with pytest.raises(GeometryError, match="link atom 1 clashes with existing atom 6 "):
+            b.add(upright, {})
 
 
 class TestKiteGrid:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,12 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydcomp import physics
+from rydcomp.assembly import assemble_layout, logical_subspace
 from rydcomp.errors import (
     EnumerationBudgetError,
     GeometryError,
     ValidationError,
 )
 from rydcomp.gadgets import make_gadget
+from rydcomp.parity import compile_parity, decompose_all
+from rydcomp.problems import parse_problem
+from rydcomp.programming import homogenize, tail_compensate
 
 
 def brute_energy(positions, detunings, mask, c6):
@@ -33,6 +38,24 @@ def chain(n, spacing=1.0):
     return np.array([[i * spacing, 0.0] for i in range(n)])
 
 
+def vdw(r, c6):
+    """Pair energy C6 / r**6 (elementwise over ``r``)."""
+    return c6 / np.asarray(r, dtype=float) ** 6
+
+
+def nodes_of(mask, n):
+    return [i for i in range(n) if (mask >> i) & 1]
+
+
+def mask_from_bitstring(s):
+    return sum(1 << i for i, ch in enumerate(s) if ch == "1")
+
+
+def rescale(energies, ground, unit):
+    """Shift by the ground energy and express in units of ``unit``."""
+    return (np.asarray(energies, dtype=float) - ground) / unit
+
+
 class TestConfig:
     def test_derived_scales(self):
         cfg = physics.PhysicsConfig(interaction_ratio=3.0)
@@ -46,7 +69,7 @@ class TestConfig:
         assert cfg.c6 == pytest.approx(4.0 * 5.0 * 64.0)
         assert cfg.blockade_radius == pytest.approx(4.0 ** (1.0 / 6.0) * 2.0)
         # blockade radius is where vdW equals the detuning
-        assert physics.vdw(cfg.blockade_radius, cfg.c6) == pytest.approx(5.0)
+        assert vdw(cfg.blockade_radius, cfg.c6) == pytest.approx(5.0)
 
     def test_ratio_bounds_enforced(self):
         with pytest.raises(ValidationError):
@@ -59,10 +82,10 @@ class TestConfig:
 
 class TestPairEnergies:
     def test_vdw_values(self):
-        assert physics.vdw(1.0, 3.0) == pytest.approx(3.0)
-        assert physics.vdw(2.0, 3.0) == pytest.approx(3.0 / 64.0)
+        assert vdw(1.0, 3.0) == pytest.approx(3.0)
+        assert vdw(2.0, 3.0) == pytest.approx(3.0 / 64.0)
         np.testing.assert_allclose(
-            physics.vdw([1.0, 2.0], 1.0), [1.0, 1.0 / 64.0]
+            vdw([1.0, 2.0], 1.0), [1.0, 1.0 / 64.0]
         )
 
     def test_pair_matrix_matches_vdw(self):
@@ -173,7 +196,7 @@ class TestMovingEnergy:
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 5, size=(6, 2))
         det = rng.uniform(0.5, 2.0, size=6)
-        moving = physics.nodes_of(moving_mask, 6)
+        moving = nodes_of(moving_mask, 6)
         f = physics.moving_energy(pos, det, mask, 2.7, moving)
         pos[moving] = rng.uniform(0, 5, size=(len(moving), 2))
         assert f(pos[moving]) == physics.diagonal_energy(pos, det, mask, c6=2.7)
@@ -205,8 +228,8 @@ class TestMaskHelpers:
     def test_roundtrip(self):
         mask = physics.mask_of([0, 2, 4])
         assert physics.bitstring(mask, 5) == "10101"
-        assert physics.mask_from_bitstring("10101") == mask
-        assert physics.nodes_of(mask, 5) == [0, 2, 4]
+        assert mask_from_bitstring("10101") == mask
+        assert nodes_of(mask, 5) == [0, 2, 4]
 
     def test_bit_order_is_atom_order(self):
         assert physics.bitstring(0b001, 3) == "100"
@@ -315,7 +338,63 @@ class TestSpectrumBlocks:
         with pytest.raises(EnumerationBudgetError):
             physics.spectrum(pos, 1.0, 2.0, window=50.0, max_frontier=50)
 
+    def test_kite_grid_tables_stay_small(self):
+        # the homogenised K_{2,2} instance (45 atoms) with its certified
+        # logical masks as hints, as `verify` enumerates it
+        cfg = physics.PhysicsConfig(interaction_ratio=4.0)
+        program = decompose_all(compile_parity(parse_problem({"family": "K_{2,2}"})))
+        instance = assemble_layout(program, cfg, link_length=5)
+        masks = [s.mask for s in logical_subspace(instance)]
+        w2 = homogenize(instance, tail_compensate(instance))
+        res = physics.spectrum(
+            instance.positions, w2 * cfg.detuning, cfg.c6,
+            window=0.02 * cfg.energy_unit, hint_configs=masks, logical_masks=masks,
+        )
+        assert res.entries[0].logical
+        # the joined 20-atom tables hold 8,400 and 12,158 rows without the
+        # single-flip rule, and at most 3,731 with it
+        assert 0 < res.peak_table <= 5000
+
+
+class TestFlipPrune:
+    """Two blocks, one join: ``_block_enumerate`` against brute force.
+
+    On a 0.8-spaced grid with c6 = 2 the diagonal neighbours couple at about
+    the detuning, so excited atoms often sit in a strong in-block field, and
+    an empty atom whose block neighbours are empty is often cheaper to add
+    than the window: both single-flip rules cut rows.
+    """
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 4)),
+            min_size=12, max_size=16, unique=True,
+        ),
+        st.lists(st.floats(0.5, 1.1), min_size=16, max_size=16),
+        st.floats(0.02, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, sites, dets, window):
+        pos = 0.8 * np.array(sites, dtype=float)
+        n = len(pos)
+        det = np.array(dets[:n])
+        c6 = 2.0
+        got, peak = physics._block_enumerate(pos, det, c6, window, (), 2_000_000)
+        v = np.zeros((n, n))
+        for i, j in itertools.combinations(range(n), 2):
+            v[i, j] = v[j, i] = c6 / math.dist(pos[i], pos[j]) ** 6
+        masks = np.arange(1 << n)
+        occ = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        e = -occ @ det + 0.5 * np.einsum("ij,ij->i", occ @ v, occ)
+        sel = np.nonzero(e <= e.min() + window + 1e-12)[0]
+        want = dict(zip(masks[sel].tolist(), e[sel].tolist()))
+        found = dict((m, x) for x, m in got)
+        assert sorted(found) == sorted(want)
+        for m, x in found.items():
+            assert x == pytest.approx(want[m], abs=1e-9)
+        assert 0 < peak <= 1 << n
+
 
 def test_rescale():
-    out = physics.rescale([2.0, 3.0, 4.0], 2.0, 4.0)
+    out = rescale([2.0, 3.0, 4.0], 2.0, 4.0)
     np.testing.assert_allclose(out, [0.0, 0.25, 0.5])
