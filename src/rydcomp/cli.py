@@ -301,6 +301,7 @@ def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
     reports.write_spectrum_csv(os.path.join(rc.out, "spectrum.csv"), result, config)
     _say(f"gadget: {gadget.kind} ({gadget.n} atoms + {len(anchored.anchors)} anchors)")
     _say(f"states in window: {len(result.entries)}")
+    _say(f"largest block table: {result.peak_table} rows")
     if band is not None:
         _say(f"logical band: {band['count']}/{len(masks)} states, spread {band['spread']:.3e}")
     _say(f"ground states logical: {report['ground_all_logical']}")
@@ -368,6 +369,7 @@ def _verify_problem(rc: RunConfig) -> int:
     band = report["logical_band"]
     _say(f"problem: {problem.label} ({layout.n_comp}+{layout.n_anchors} atoms)")
     _say(f"states in window: {len(result.entries)}")
+    _say(f"largest block table: {result.peak_table} rows")
     if band is not None:
         _say(f"logical band: {band['count']}/{len(masks)} states, spread {band['spread']:.3e}")
     if "gap_to_bulk" in report:

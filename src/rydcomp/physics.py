@@ -222,9 +222,12 @@ def spectrum(
     """All configurations with energy in [E0, E0 + window], sorted.
 
     Sorting is by (energy, mask), so output is fully deterministic.  For more
-    than 20 atoms the block branch-and-bound is used and ``hint_configs``
-    (known low-lying masks, e.g. the intended logical states) matter a great
-    deal for speed; they never affect correctness.
+    than 20 atoms the block branch-and-bound is used.  Its cutoff starts from
+    the lowest real state it knows: a greedy fill, the state its chain
+    messages decode to, and ``hint_configs`` (known low-lying masks, e.g. the
+    intended logical states).  On chains the decoded state is usually the
+    ground state, so hints matter mainly on 2-D grids, where x-sorted blocks
+    decode poorly; they never affect correctness.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
@@ -368,40 +371,44 @@ def _chain_bounds(tables, v):
     return fin, bin_
 
 
-def _path_prune(tables, v, cutoff):
+def _path_prune(tables, v, cutoff, bounds):
     """Drop block configs that no global state within the cutoff can use.
 
     Pruning one block's table can raise every other block's messages, so
     the message/prune cycle repeats until nothing changes (a few rounds in
     practice).  No state with energy <= cutoff is ever lost: configs are
     only removed when a lower bound on any state through them exceeds the
-    cutoff.
+    cutoff.  ``bounds`` are the chain bounds of the given tables, or None.
+    Returns the tables and, when the last round removed nothing, their
+    chain bounds (None otherwise), so callers need not send them again.
     """
     for _ in range(8):
-        fin, bin_ = _chain_bounds(tables, v)
-        out, changed = [], False
-        for (atoms, occ, e), f, b in zip(tables, fin, bin_):
-            keep = np.nonzero(f + e + b <= cutoff)[0]
-            if len(keep) < len(e):
-                changed = True
-            out.append((atoms, occ[keep], e[keep]))
-        tables = out
-        if not changed or any(len(t[2]) == 0 for t in tables):
+        fin, bin_ = bounds or _chain_bounds(tables, v)
+        keeps = [
+            np.nonzero(f + e + b <= cutoff)[0]
+            for (_, _, e), f, b in zip(tables, fin, bin_)
+        ]
+        if all(len(k) == len(t[2]) for k, t in zip(keeps, tables)):
+            return tables, (fin, bin_)
+        tables = [(atoms, occ[k], e[k]) for (atoms, occ, e), k in zip(tables, keeps)]
+        bounds = None
+        if any(len(t[2]) == 0 for t in tables):
             break
-    return tables
+    return tables, None
 
 
-def _join_pass(tables, v, cutoff, max_frontier, cap=1 << 26):
+def _join_pass(tables, v, cutoff, max_frontier, bounds, cap=1 << 26):
     """Merge adjacent block pairs into wider blocks with exact tables.
 
     Each merge multiplies out the two config tables with their exact cross
     interaction and keeps a combination only when the chain messages from
-    both sides cannot rule it out.  Pairs whose product would exceed
-    ``cap`` entries are left for the frontier sweep instead.
+    both sides (``bounds``, sent here when None) cannot rule it out.  Pairs
+    whose product would exceed ``cap`` entries are left for the frontier
+    sweep instead.
     """
     if len(tables) < 2:
         return tables, False
-    fin, bin_ = _chain_bounds(tables, v)
+    fin, bin_ = bounds or _chain_bounds(tables, v)
     out, joined, i = [], False, 0
     while i < len(tables):
         if i + 1 < len(tables):
@@ -442,13 +449,34 @@ def _join_pass(tables, v, cutoff, max_frontier, cap=1 << 26):
     return out, joined
 
 
+def _decode(tables, fin, v):
+    """Mask of the configuration the forward min-sum messages lead to.
+
+    The Viterbi backtrack: the last block takes the config that minimises
+    its energy plus its incoming message, and each earlier block the config
+    whose message into the one chosen after it was the minimum.  Messages
+    keep only adjacent couplings, so the state is real but not always the
+    ground state; its exact energy is a valid incumbent either way.
+    """
+    atoms, occ, e = tables[-1]
+    row = occ[int(np.argmin(e + fin[-1]))]
+    mask = mask_of(a for a, x in zip(atoms, row) if x > 0.5)
+    for (src, socc, se), f in zip(tables[-2::-1], fin[-2::-1]):
+        costs = se + f + socc @ (v[np.ix_(src, atoms)] @ row)
+        atoms, row = src, socc[int(np.argmin(costs))]
+        mask |= mask_of(a for a, x in zip(atoms, row) if x > 0.5)
+    return mask
+
+
 def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     """(energy, mask) pairs of the window, and the peak table or frontier size."""
     v = pair_matrix(pos, c6)
-    # The empty pattern is always a valid configuration, and a greedy fill
-    # (repeatedly exciting whichever atom lowers the energy most) gives a
-    # cheap but usually tight incumbent; hints can only improve on it.
-    incumbent = 0.0
+    # The cutoff is the lowest energy of a real state known, plus the window.
+    # Candidates: the empty pattern, a greedy fill (repeatedly exciting
+    # whichever atom lowers the energy most), the hints, and the state the
+    # chain messages decode to (below).  On chains the greedy fill can sit
+    # several detunings above the ground state, which is usually the decoded
+    # one; on 2-D x-slices the decoded state can be the poor one instead.
     occupancy = np.zeros(len(pos))
     cur = 0.0
     while True:
@@ -459,11 +487,7 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
             break
         occupancy[i] = 1.0
         cur += float(delta[i])
-    incumbent = min(incumbent, cur)
-    for h in hints:
-        incumbent = min(incumbent, diagonal_energy(pos, det, int(h), c6))
     slack = window + 1e-9
-    cutoff = incumbent + slack
     # Prune-and-merge cascade: the single-flip rule (see ``_flip_prune``)
     # cuts every fresh table on its own, message passing shrinks the tables
     # further, merging doubles the block width, and wider blocks make both
@@ -475,17 +499,22 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
         _flip_prune(_config_table(b, det, v), det, v, slack) for b in _lex_blocks(pos)
     ]
     peak = max(len(t[2]) for t in tables)
-    tables = _path_prune(tables, v, cutoff)
+    bounds = _chain_bounds(tables, v)
+    masks = [_decode(tables, bounds[0], v), *(int(h) for h in hints)]
+    occ = np.array([[(m >> a) & 1 for a in range(len(pos))] for m in masks], dtype=float)
+    scores = -(occ @ det) + 0.5 * np.einsum("ij,ij->i", occ @ v, occ)
+    cutoff = min(0.0, cur, float(scores.min())) + slack
+    tables, bounds = _path_prune(tables, v, cutoff, bounds)
     while len(tables) > 1 and all(len(t[2]) for t in tables):
-        tables, joined = _join_pass(tables, v, cutoff, max_frontier)
+        tables, joined = _join_pass(tables, v, cutoff, max_frontier, bounds)
         if not joined:
             break
         tables = [_flip_prune(t, det, v, slack) for t in tables]
         peak = max(peak, *(len(t[2]) for t in tables))
-        tables = _path_prune(tables, v, cutoff)
+        tables, bounds = _path_prune(tables, v, cutoff, None)
     if not all(len(t[2]) for t in tables):
         return [], peak
-    _, bin_ = _chain_bounds(tables, v)
+    _, bin_ = bounds or _chain_bounds(tables, v)
     atoms0, occ0, e0s = tables[0]
     keep0 = np.nonzero(e0s + bin_[0] <= cutoff)[0]
     focc = (occ0[keep0] > 0.5).astype(np.uint8)

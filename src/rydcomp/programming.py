@@ -539,7 +539,7 @@ _SLIVER = 0.02
 
 
 def _solve_chain_anchors(
-    instance, service, ch, name, need, end_share, cfg, previous=()
+    instance, service, ch, name, need, end_share, cfg, caps, previous=()
 ):
     """Anchors delivering ``need`` to one chain, matched to where it arises.
 
@@ -563,7 +563,17 @@ def _solve_chain_anchors(
     other anchors flip the choice forever instead of settling.  Absent a
     history the side alternates from site to site, which keeps neighbouring
     anchors comfortably apart.
+
+    ``caps`` memoises :func:`_corridor_cap` by (chain, base atom, ray
+    direction): the geometry it reads stays fixed while the caller iterates.
     """
+
+    def cap_of(atom, direction):
+        key = (name, atom, tuple(direction.tolist()))
+        if key not in caps:
+            caps[key] = _corridor_cap(instance, ch, instance.positions[atom], direction)
+        return caps[key]
+
     dlt = cfg.detuning
     out = []
     residual = need
@@ -573,7 +583,7 @@ def _solve_chain_anchors(
             break
         base = instance.positions[atom]
         ray = np.asarray(axis, dtype=float)
-        cap = _corridor_cap(instance, ch, base, ray)
+        cap = cap_of(atom, ray)
         try:
             q, _ = place_anchor(service, base, ray, end_share, cfg, cap=cap)
         except NoRootInRange:
@@ -614,7 +624,7 @@ def _solve_chain_anchors(
                     prefer = 1.0 if float(d @ normal) > 0 else -1.0
             options = []
             for sgn in (1.0, -1.0):
-                cap = _corridor_cap(instance, ch, base, sgn * normal)
+                cap = cap_of(atom, sgn * normal)
                 try:
                     q, _ = place_anchor(service, base, sgn * normal, share, cfg, cap=cap)
                 except NoRootInRange:
@@ -774,6 +784,7 @@ def plan_anchors(instance: MWISInstance, w2: np.ndarray, *, tol=1e-9, max_rounds
     memory = {}
     trend = {}
     theta = {name: 1.0 for name in names}
+    caps = {}
     for _ in range(max_rounds):
         settled = True
         for name in names:
@@ -801,7 +812,8 @@ def plan_anchors(instance: MWISInstance, w2: np.ndarray, *, tol=1e-9, max_rounds
                 field = dlt * instance.program.variable(name).field
                 share = (need - field) / len(ch.open_ends) if ch.open_ends else 0.0
                 solved = _solve_chain_anchors(
-                    instance, services[name], ch, name, need, share, cfg, anchors[name]
+                    instance, services[name], ch, name, need, share, cfg, caps,
+                    anchors[name],
                 )
             if len(solved) != len(anchors[name]) or any(
                 a.style != b.style

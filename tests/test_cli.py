@@ -150,7 +150,13 @@ class TestVerify:
         assert report["logical_band"]["count"] == 2
         assert report["logical_band"]["spread"] <= 1e-9 * report["energy_unit"]
         assert report["anchors_excited"] and report["ground_all_logical"]
-        assert "verified" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "verified" in printed
+        # five atoms (three plus two anchors) take the dense path: one table
+        # of every pattern, reported on stdout but not in report.json
+        assert report["n_atoms"] == 5
+        assert "largest block table: 32 rows" in printed.splitlines()
+        assert "peak_table" not in report
         lines = (out / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "index,energy,excitation_over_unit,config,logical"
         # both logical states lead the spectrum, flagged in the last column

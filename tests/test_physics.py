@@ -17,7 +17,7 @@ from rydcomp.errors import (
 from rydcomp.gadgets import make_gadget
 from rydcomp.parity import compile_parity, decompose_all
 from rydcomp.problems import parse_problem
-from rydcomp.programming import homogenize, tail_compensate
+from rydcomp.programming import balance_open_ports, homogenize, tail_compensate
 
 
 def brute_energy(positions, detunings, mask, c6):
@@ -355,6 +355,21 @@ class TestSpectrumBlocks:
         # single-flip rule, and at most 3,731 with it
         assert 0 < res.peak_table <= 5000
 
+    def test_unhinted_chain_decodes_its_incumbent(self):
+        # the anchored link:41 (43 atoms) as the gadget route enumerates it:
+        # uniform detuning, no hints.  A greedy fill sits 3.9 detunings above
+        # the ground energy and left a 92,391-row table; the state decoded
+        # from the chain messages is the ground state and keeps it small.
+        cfg = physics.PhysicsConfig(interaction_ratio=3.0)
+        link = balance_open_ports(make_gadget("link", config=cfg, length=41), cfg)
+        masks = link.full_masks()
+        args = (link.positions, cfg.detuning, cfg.c6, 0.02 * cfg.energy_unit)
+        res = physics.spectrum(*args, logical_masks=masks)
+        assert 0 < res.peak_table <= 100
+        hinted = physics.spectrum(*args, hint_configs=masks, logical_masks=masks)
+        assert res.entries == hinted.entries
+        assert res.entries[0].logical
+
 
 class TestFlipPrune:
     """Two blocks, one join: ``_block_enumerate`` against brute force.
@@ -393,6 +408,47 @@ class TestFlipPrune:
         for m, x in found.items():
             assert x == pytest.approx(want[m], abs=1e-9)
         assert 0 < peak <= 1 << n
+
+
+class TestBoundReuse:
+    """``_path_prune`` hands back chain bounds only for the tables it returns.
+
+    31 to 40 atoms on the ``TestFlipPrune`` grid make four x-sorted blocks,
+    so pruning one table moves the messages of the others and rounds that
+    change the tables are common.
+    """
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 4)),
+            min_size=31, max_size=40, unique=True,
+        ),
+        st.lists(st.floats(0.5, 1.1), min_size=40, max_size=40),
+        st.floats(0.02, 0.3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_returned_bounds_are_fresh(self, sites, dets, window):
+        pos = 0.8 * np.array(sites, dtype=float)
+        det = np.array(dets[: len(pos)])
+        seen = []
+        prune = physics._path_prune
+
+        def recording(tables, v, cutoff, bounds):
+            out, back = prune(tables, v, cutoff, bounds)
+            seen.append((out, v, back))
+            return out, back
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(physics, "_path_prune", recording)
+            physics._block_enumerate(pos, det, 2.0, window, (), 2_000_000)
+        assert seen
+        for tables, v, back in seen:
+            if back is None:
+                continue
+            for got, want in zip(back, physics._chain_bounds(tables, v)):
+                assert len(got) == len(want) == len(tables)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
 
 
 def test_rescale():
