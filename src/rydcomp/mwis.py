@@ -119,7 +119,7 @@ def _bfs(nb, deg, root):
         for v in level:
             new = nb[v] & ~seen
             seen |= new
-            nxt += sorted(_bits(new), key=lambda u: (deg[u], u))
+            nxt += sorted(_bits(new), key=deg.__getitem__)  # stable: ties by index
         if not nxt:
             return order, level, depth
         order += nxt
@@ -127,19 +127,20 @@ def _bfs(nb, deg, root):
         depth += 1
 
 
-def _sweep_order(g: UDGraph) -> list:
-    """Bandwidth-reducing vertex order, computed from the graph alone.
+def _sweep_order(nb) -> list:
+    """Bandwidth-reducing vertex order of a graph given by neighbour masks.
 
+    ``nb[i]`` has bit ``j`` set when vertices ``i`` and ``j`` are adjacent.
     One Cuthill–McKee BFS per connected component (components taken by
     their lowest index), started from a pseudo-peripheral vertex found by
     the George–Liu iteration: re-root at the lowest-degree vertex of the
-    last BFS level while that lengthens the BFS.
+    last BFS level while that lengthens the BFS.  ``physics`` cuts its
+    spectrum blocks along the same sweep.
     """
-    nb = g.neighbor_masks
-    deg = [g.degree(i) for i in range(g.n)]
+    deg = [m.bit_count() for m in nb]
     order = []
     placed = 0
-    for start in range(g.n):
+    for start in range(len(nb)):
         if (placed >> start) & 1:
             continue
         sweep, last, depth = _bfs(nb, deg, start)
@@ -174,7 +175,7 @@ def solve_mwis(g: UDGraph, weights, tol: float = 1e-9) -> MWISSolution:
         raise ValidationError("weight vector length does not match graph")
     if g.n and w.min() <= 0:
         raise ValidationError("weights must be positive")
-    order = _sweep_order(g)
+    order = _sweep_order(g.neighbor_masks)
     label = [0] * g.n
     for new, old in enumerate(order):
         label[old] = new

@@ -15,10 +15,15 @@ Spectra are exact: no interaction tails are ever truncated.  Up to 20 atoms a
 vectorised full enumeration is used; larger layouts go through a spatial-block
 branch-and-bound whose bound is admissible (it drops only non-negative cross
 terms), so every configuration inside the requested window is found.  Its
-block tables are also cut by a single-flip rule: a block configuration goes
-when flipping one of its atoms lowers every completion of it by more than the
-window.  Such a state lies above the ground energy plus the window, and the
-ground state itself never loses energy to a flip, so the rule is exact.
+blocks are consecutive runs of a Cuthill–McKee sweep of the layout's
+nearest-neighbour graph, the order ``mwis`` branches along, so they stay
+compact on chains and on kite grids alike.  Its block tables are also cut by
+a single-flip rule: a block configuration goes when flipping one of its
+atoms lowers every completion of it by more than the window.  Such a state
+lies above the ground energy plus the window, and the ground state itself
+never loses energy to a flip, so the rule is exact.  The window's energies
+are rescored state by state in atom order, so they do not depend on how the
+atoms were cut into blocks.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ from operator import add
 import numpy as np
 
 from .errors import EnumerationBudgetError, GeometryError, ValidationError
+from .mwis import _sweep_order
 
 _COINCIDENT = 1e-12
 _BLOCK_SIZE = 10  # atoms per block of the branch-and-bound's first tables
+_NEAR = 1.5  # sweep-graph edges join pairs closer than this times the closest pair
 
 
 @dataclass(frozen=True)
@@ -223,11 +230,12 @@ def spectrum(
 
     Sorting is by (energy, mask), so output is fully deterministic.  For more
     than 20 atoms the block branch-and-bound is used.  Its cutoff starts from
-    the lowest real state it knows: a greedy fill, the state its chain
+    the lowest real state it knows: the empty pattern, the state its chain
     messages decode to, and ``hint_configs`` (known low-lying masks, e.g. the
-    intended logical states).  On chains the decoded state is usually the
-    ground state, so hints matter mainly on 2-D grids, where x-sorted blocks
-    decode poorly; they never affect correctness.
+    intended logical states).  The decoded state lies within a few
+    thousandths of a detuning of the ground state on the package's chains
+    and kite grids, so hints rarely change the work done there, and they
+    never change the result.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
@@ -269,19 +277,45 @@ def _dense_energies(pos, det, c6):
     return out
 
 
-def _lex_blocks(pos):
-    """Split the atoms into consecutive runs of a left-to-right sweep.
+def _sweep_blocks(v):
+    """Split the atoms into consecutive runs of a graph sweep of the layout.
 
-    Atoms are ordered by (x, y, index) and chopped into runs of at most
-    ``_BLOCK_SIZE``, so the blocks form a path across the layout: each block
-    couples strongly only to its neighbours in the sequence, with the
-    couplings across larger separations decaying like 1/r^6.  That locality
-    is what makes the chain messages below tight.
+    The graph joins the atoms closer than ``_NEAR`` times the closest pair,
+    read off the pair matrix ``v`` (pair energies fall like 1/r^6), and
+    each atom to its nearest neighbour, so that an outlying anchor enters
+    the sweep next to the atom it serves, not after everything else.
+    ``mwis._sweep_order`` orders the graph by a Cuthill–McKee sweep, and
+    runs of at most ``_BLOCK_SIZE`` atoms along it form the block path: a
+    chain is cut into segments and a kite grid into pieces of the sweep's
+    front, so each block couples strongly only to its neighbours in the
+    sequence, with the couplings across larger separations decaying like
+    1/r^6.  That locality is what makes the chain messages below tight.
     """
-    order = sorted(range(len(pos)), key=lambda i: (pos[i, 0], pos[i, 1], i))
+    near = v > v.max() / _NEAR**6
+    near[np.arange(len(v)), v.argmax(axis=1)] = True
+    order = _sweep_order(_row_masks(near | near.T))
     return [
         sorted(order[s : s + _BLOCK_SIZE]) for s in range(0, len(order), _BLOCK_SIZE)
     ]
+
+
+def _row_masks(rows):
+    """Bitmask of each 0/1 row, column ``i`` on bit ``i``."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _energies(occ, det, v):
+    """Diagonal energies of occupancy rows whose columns are the atoms of ``v``.
+
+    Plain ``np.einsum`` loops over a C-ordered copy, no BLAS: each row is
+    summed the same way whatever batch or memory layout it comes in, so an
+    energy does not depend on the table that carried its state (a matrix
+    product's does).
+    """
+    occ = np.ascontiguousarray(occ, dtype=float)
+    fields = np.einsum("ij,jk->ik", occ, v)
+    return -np.einsum("ij,j->i", occ, det) + 0.5 * np.einsum("ij,ij->i", fields, occ)
 
 
 def _config_table(blk, det, v):
@@ -450,7 +484,7 @@ def _join_pass(tables, v, cutoff, max_frontier, bounds, cap=1 << 26):
 
 
 def _decode(tables, fin, v):
-    """Mask of the configuration the forward min-sum messages lead to.
+    """Occupancy, in atom order, of the configuration the forward messages lead to.
 
     The Viterbi backtrack: the last block takes the config that minimises
     its energy plus its incoming message, and each earlier block the config
@@ -458,35 +492,20 @@ def _decode(tables, fin, v):
     keep only adjacent couplings, so the state is real but not always the
     ground state; its exact energy is a valid incumbent either way.
     """
+    x = np.zeros(len(v))
     atoms, occ, e = tables[-1]
-    row = occ[int(np.argmin(e + fin[-1]))]
-    mask = mask_of(a for a, x in zip(atoms, row) if x > 0.5)
+    row = x[atoms] = occ[int(np.argmin(e + fin[-1]))]
     for (src, socc, se), f in zip(tables[-2::-1], fin[-2::-1]):
         costs = se + f + socc @ (v[np.ix_(src, atoms)] @ row)
         atoms, row = src, socc[int(np.argmin(costs))]
-        mask |= mask_of(a for a, x in zip(atoms, row) if x > 0.5)
-    return mask
+        x[atoms] = row
+    return x
 
 
 def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     """(energy, mask) pairs of the window, and the peak table or frontier size."""
+    n = len(pos)
     v = pair_matrix(pos, c6)
-    # The cutoff is the lowest energy of a real state known, plus the window.
-    # Candidates: the empty pattern, a greedy fill (repeatedly exciting
-    # whichever atom lowers the energy most), the hints, and the state the
-    # chain messages decode to (below).  On chains the greedy fill can sit
-    # several detunings above the ground state, which is usually the decoded
-    # one; on 2-D x-slices the decoded state can be the poor one instead.
-    occupancy = np.zeros(len(pos))
-    cur = 0.0
-    while True:
-        delta = -det + v @ occupancy
-        delta[occupancy > 0.5] = np.inf
-        i = int(np.argmin(delta))
-        if delta[i] >= 0:
-            break
-        occupancy[i] = 1.0
-        cur += float(delta[i])
     slack = window + 1e-9
     # Prune-and-merge cascade: the single-flip rule (see ``_flip_prune``)
     # cuts every fresh table on its own, message passing shrinks the tables
@@ -496,14 +515,17 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     # 1/r^6).  For layouts that thin out fast this ends with a single exact
     # table; otherwise the frontier sweep below finishes the job.
     tables = [
-        _flip_prune(_config_table(b, det, v), det, v, slack) for b in _lex_blocks(pos)
+        _flip_prune(_config_table(b, det, v), det, v, slack) for b in _sweep_blocks(v)
     ]
     peak = max(len(t[2]) for t in tables)
     bounds = _chain_bounds(tables, v)
-    masks = [_decode(tables, bounds[0], v), *(int(h) for h in hints)]
-    occ = np.array([[(m >> a) & 1 for a in range(len(pos))] for m in masks], dtype=float)
-    scores = -(occ @ det) + 0.5 * np.einsum("ij,ij->i", occ @ v, occ)
-    cutoff = min(0.0, cur, float(scores.min())) + slack
+    # The cutoff is the lowest energy of a real state known, plus the window:
+    # the empty pattern, the hints, and the state the chain messages decode
+    # to.  Along sweep blocks the decoded state lies within a few thousandths
+    # of a detuning of the ground state on chains and on kite grids alike.
+    rows = [_decode(tables, bounds[0], v)]
+    rows += [[(int(h) >> a) & 1 for a in range(n)] for h in hints]
+    cutoff = min(0.0, float(_energies(np.array(rows), det, v).min())) + slack
     tables, bounds = _path_prune(tables, v, cutoff, bounds)
     while len(tables) > 1 and all(len(t[2]) for t in tables):
         tables, joined = _join_pass(tables, v, cutoff, max_frontier, bounds)
@@ -550,14 +572,11 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
         focc = np.vstack(out_occ)
         peak = max(peak, len(fe))
         done = done + blk
-    e0 = float(fe.min())
-    keep = np.nonzero(fe <= e0 + window + 1e-12)[0]
-    pairs = []
-    for row in keep:
-        mask = 0
-        occ_row = focc[row]
-        for col, atom in enumerate(done):
-            if occ_row[col] > 0.5:
-                mask |= 1 << atom
-        pairs.append((float(fe[row]), mask))
-    return pairs, peak
+    # The frontier energies were summed block by block, so their last bits
+    # depend on the partition.  Rescore the states near the bottom row by
+    # row in atom order and cut the window on those energies; the margin
+    # covers the rounding between the two sums.
+    near = focc[fe <= fe.min() + window + 1e-9][:, np.argsort(done)]
+    es = _energies(near, det, v)
+    keep = es <= es.min() + window + 1e-12
+    return list(zip(es[keep].tolist(), _row_masks(near[keep]))), peak

@@ -338,28 +338,45 @@ class TestSpectrumBlocks:
         with pytest.raises(EnumerationBudgetError):
             physics.spectrum(pos, 1.0, 2.0, window=50.0, max_frontier=50)
 
-    def test_kite_grid_tables_stay_small(self):
-        # the homogenised K_{2,2} instance (45 atoms) with its certified
-        # logical masks as hints, as `verify` enumerates it
+    @staticmethod
+    def _kite_grid(family):
+        """The homogenised instance's spectrum arguments and logical masks."""
         cfg = physics.PhysicsConfig(interaction_ratio=4.0)
-        program = decompose_all(compile_parity(parse_problem({"family": "K_{2,2}"})))
+        program = decompose_all(compile_parity(parse_problem({"family": family})))
         instance = assemble_layout(program, cfg, link_length=5)
         masks = [s.mask for s in logical_subspace(instance)]
         w2 = homogenize(instance, tail_compensate(instance))
-        res = physics.spectrum(
-            instance.positions, w2 * cfg.detuning, cfg.c6,
-            window=0.02 * cfg.energy_unit, hint_configs=masks, logical_masks=masks,
-        )
+        args = (instance.positions, w2 * cfg.detuning, cfg.c6, 0.02 * cfg.energy_unit)
+        return args, masks
+
+    def test_kite_grid_tables_stay_small(self):
+        # the homogenised K_{2,2} instance (45 atoms) with its certified
+        # logical masks as hints, as `verify` enumerates it
+        args, masks = self._kite_grid("K_{2,2}")
+        res = physics.spectrum(*args, hint_configs=masks, logical_masks=masks)
         assert res.entries[0].logical
-        # the joined 20-atom tables hold 8,400 and 12,158 rows without the
-        # single-flip rule, and at most 3,731 with it
-        assert 0 < res.peak_table <= 5000
+        # blocks cut along the graph sweep follow the chains around the
+        # cross; the largest table holds 96 rows (3,731 on x-sorted slices)
+        assert 0 < res.peak_table <= 200
+
+    @pytest.mark.parametrize("family", ["K_{2,3}", "K_{2,4}"])
+    def test_unhinted_kite_grid_needs_no_hints(self, family):
+        # the state decoded along the sweep lies within 0.003 detunings of
+        # the ground state, so the cutoff needs no hints (with x-sorted
+        # blocks both spectra overran the 2M frontier budget without them)
+        args, masks = self._kite_grid(family)
+        res = physics.spectrum(*args, logical_masks=masks)
+        hinted = physics.spectrum(*args, hint_configs=masks, logical_masks=masks)
+        assert res.entries == hinted.entries
+        assert res.entries[0].logical
+        assert 0 < res.peak_table <= 2000
 
     def test_unhinted_chain_decodes_its_incumbent(self):
         # the anchored link:41 (43 atoms) as the gadget route enumerates it:
-        # uniform detuning, no hints.  A greedy fill sits 3.9 detunings above
-        # the ground energy and left a 92,391-row table; the state decoded
-        # from the chain messages is the ground state and keeps it small.
+        # uniform detuning, no hints.  A cutoff from a greedy fill, 3.9
+        # detunings above the ground energy, left a 92,391-row table; the
+        # state decoded from the chain messages is the ground state, and as
+        # the only incumbent besides the empty pattern it keeps the table small.
         cfg = physics.PhysicsConfig(interaction_ratio=3.0)
         link = balance_open_ports(make_gadget("link", config=cfg, length=41), cfg)
         masks = link.full_masks()
@@ -369,6 +386,32 @@ class TestSpectrumBlocks:
         hinted = physics.spectrum(*args, hint_configs=masks, logical_masks=masks)
         assert res.entries == hinted.entries
         assert res.entries[0].logical
+
+
+class TestSweepBlocks:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)),
+            min_size=2, max_size=90, unique=True,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_partition_the_atoms(self, sites):
+        # sparse random sites give sweep graphs with many components
+        v = physics.pair_matrix(0.8 * np.array(sites, dtype=float), 2.0)
+        blocks = physics._sweep_blocks(v)
+        atoms = [a for b in blocks for a in b]
+        assert sorted(atoms) == list(range(len(sites)))
+        assert all(0 < len(b) <= physics._BLOCK_SIZE for b in blocks)
+
+    def test_outlying_atom_follows_its_nearest_neighbour(self):
+        # an anchor 1.6 spacings beside atom 5 of a 40-atom chain is farther
+        # from everything than 1.5 times the closest pair; it still joins
+        # the sweep next to atom 5 instead of trailing after the chain
+        pos = np.vstack([chain(40), [[5.0, 1.6]]])
+        blocks = physics._sweep_blocks(physics.pair_matrix(pos, 3.0))
+        where = {a: k for k, b in enumerate(blocks) for a in b}
+        assert abs(where[40] - where[5]) <= 1
 
 
 class TestFlipPrune:
@@ -387,6 +430,14 @@ class TestFlipPrune:
         ),
         st.lists(st.floats(0.5, 1.1), min_size=16, max_size=16),
         st.floats(0.02, 1.0),
+    )
+    # two clusters 24 units apart: the sweep graph has two components and
+    # the first block takes atoms of both
+    @example(
+        [(x, y) for x in range(3) for y in range(2)]
+        + [(x, y) for x in range(30, 33) for y in range(3)],
+        [0.6, 0.9, 1.1, 0.7, 1.0, 0.8, 0.9, 0.5] * 2,
+        0.5,
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, sites, dets, window):
@@ -413,8 +464,8 @@ class TestFlipPrune:
 class TestBoundReuse:
     """``_path_prune`` hands back chain bounds only for the tables it returns.
 
-    31 to 40 atoms on the ``TestFlipPrune`` grid make four x-sorted blocks,
-    so pruning one table moves the messages of the others and rounds that
+    31 to 40 atoms on the ``TestFlipPrune`` grid make four sweep blocks, so
+    pruning one table moves the messages of the others and rounds that
     change the tables are common.
     """
 
@@ -449,6 +500,38 @@ class TestBoundReuse:
                 assert len(got) == len(want) == len(tables)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
+
+
+class TestWindowEnergies:
+    """Window energies do not depend on how the atoms are cut into blocks."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 5)),
+            min_size=21, max_size=30, unique=True,
+        ),
+        st.lists(st.floats(0.5, 1.1), min_size=30, max_size=30),
+        st.floats(0.02, 0.3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bitwise_equal_across_block_sizes(self, sites, dets, window):
+        pos = 0.8 * np.array(sites, dtype=float)
+        det = np.array(dets[: len(pos)])
+        runs = []
+        for size in (10, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(physics, "_BLOCK_SIZE", size)
+                runs.append(physics.spectrum(pos, det, 2.0, window).entries)
+        assert runs[0] == runs[1]
+        # each energy is the kernel's score of its state, alone or in a batch
+        v = physics.pair_matrix(pos, 2.0)
+        occ = np.array(
+            [[(e.config >> a) & 1 for a in range(len(pos))] for e in runs[0]],
+            dtype=float,
+        )
+        batch = physics._energies(occ, det, v)
+        for k, e in enumerate(runs[0]):
+            assert physics._energies(occ[k : k + 1], det, v)[0] == batch[k] == e.energy
 
 
 def test_rescale():
