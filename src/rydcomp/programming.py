@@ -147,14 +147,6 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, samples=128):
     )
 
 
-def quadratic_model(fn, y0, h=1e-4):
-    """(value, slope, curvature) of ``fn`` at ``y0`` by central differences."""
-    f0 = fn(y0)
-    fp = fn(y0 + h)
-    fm = fn(y0 - h)
-    return f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / h**2
-
-
 # ---------------------------------------------------------------------------
 # step 1: exact tail compensation
 
@@ -182,78 +174,56 @@ def _copy_correction(v, nodes, states, ports, dlt):
     return out
 
 
-def _module_deposits(v, pairs, occupancies, slots, nodes, dlt):
-    """Per-slot increments that re-tie the module states over its pairs."""
-    tails = [
-        sum(v[a, b] * occ[a] * occ[b] for a, b in pairs) for occ in occupancies
-    ]
-    out = {}
-    for idx, slot_locals in slots.items():
-        dep = (tails[idx] - tails[0]) / (len(slot_locals) * dlt)
-        for loc in slot_locals:
-            out[nodes[loc]] = out.get(nodes[loc], 0.0) + dep
-    return out
-
-
-def _chains_touching(instance):
-    """variable name -> set of module element indices its ports sit on."""
-    module_of = {}
-    for kdx in instance.modules:
-        for a in instance.elements[kdx].nodes:
-            module_of[a] = kdx
-    touch = {}
-    for name, ch in instance.chains.items():
-        touch[name] = {module_of[p] for p in ch.ports if p in module_of}
-    return module_of, touch
-
-
 def _assign_module_pairs(instance, v):
-    """Owner module of every compensable non-edge pair.
+    """Owner module of every compensable non-edge pair, all pairs at once.
 
     A module owns a pair when both occupancies are functions of its logical
     state: its own internal pairs, pairs into any chain hanging off it, and
-    pairs between two chains that both hang off it.  Pairs inside a single
-    chain element belong to the copy pass and are skipped here; pairs with
-    no qualifying owner (atoms of unrelated plaquettes) stay uncompensated
-    and are part of the documented error budget.
+    pairs between two chains that both hang off it (the lowest-index module
+    they share).  An atom fused into several modules or chains counts for
+    the last one.  Pairs inside a single chain element belong to the copy
+    pass and are skipped here; pairs with no qualifying owner (atoms of
+    unrelated plaquettes) stay uncompensated and are part of the documented
+    error budget.  Returns ``{module: (a, b)}``: index arrays of its pairs
+    in row-major (``a < b``) order.
     """
     if not instance.modules:
         return {}
     n = instance.n_atoms
-    module_of, touch = _chains_touching(instance)
-    chain_of = {}
-    for name, ch in instance.chains.items():
-        for a in ch.atoms:
-            chain_of[a] = name
-    elements_of = [set() for _ in range(n)]
-    for kdx, e in enumerate(instance.elements):
-        for a in e.nodes:
-            elements_of[a].add(kdx)
-    out = {kdx: [] for kdx in instance.modules}
-    rows, cols = np.nonzero(np.triu(v, 1))  # row-major: the (a < b) order
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        shared = elements_of[a] & elements_of[b]
-        if any(not instance.elements[k].is_module for k in shared):
-            continue  # same chain element: the copy pass owns it
-        ma, mb = module_of.get(a), module_of.get(b)
-        ca, cb = chain_of.get(a), chain_of.get(b)
-        owner = None
-        if ma is not None and mb is not None:
-            owner = ma if ma == mb else None
-        elif ma is not None:
-            owner = ma if cb is not None and ma in touch[cb] else None
-        elif mb is not None:
-            owner = mb if ca is not None and mb in touch[ca] else None
-        elif ca is not None and cb is not None:
-            common = touch[ca] & touch[cb]
-            owner = min(common) if common else None
-        if owner is not None:
-            out[owner].append((a, b))
-    return out
+    # index -1 (no module, no chain) reads the last row or column: all False
+    module_of = np.full(n, -1)
+    for kdx in instance.modules:
+        module_of[list(instance.elements[kdx].nodes)] = kdx
+    chain_of = np.full(n, -1)
+    touch = np.zeros((len(instance.chains) + 1, len(instance.elements) + 1), dtype=bool)
+    for c, ch in enumerate(instance.chains.values()):
+        chain_of[list(ch.atoms)] = c
+        ports = module_of[list(ch.ports)]
+        touch[c, ports[ports >= 0]] = True
+    both = touch[:, None, :] & touch[None, :, :]
+    common = np.where(both.any(axis=2), both.argmax(axis=2), -1)  # lowest shared
+    copies = np.zeros((n, len(instance.copies)))
+    for j, kdx in enumerate(instance.copies):
+        copies[list(instance.elements[kdx].nodes), j] = 1.0
+    ma, mb = module_of[:, None], module_of[None, :]
+    ca, cb = chain_of[:, None], chain_of[None, :]
+    owner = np.select(
+        [(ma >= 0) & (mb >= 0), ma >= 0, mb >= 0],
+        [
+            np.where(ma == mb, ma, -1),
+            np.where(touch[cb, ma], ma, -1),
+            np.where(touch[ca, mb], mb, -1),
+        ],
+        common[ca, cb],
+    )
+    owner[copies @ copies.T > 0] = -1  # same chain element: the copy pass owns it
+    rows, cols = np.nonzero(np.triu(v != 0, 1) & (owner >= 0))  # row-major
+    owner = owner[rows, cols]
+    return {kdx: (rows[owner == kdx], cols[owner == kdx]) for kdx in instance.modules}
 
 
 def _module_occupancies(instance, kdx):
-    """Occupation of the module and all its chains, one dict per state."""
+    """Occupation of the module and all its chains, one row per state."""
     e = instance.elements[kdx]
     module_atoms = set(e.nodes)
     hooked = [
@@ -261,8 +231,8 @@ def _module_occupancies(instance, kdx):
         for ch in instance.chains.values()
         if any(p in module_atoms for p in ch.ports)
     ]
-    out = []
-    for st in e.gadget.logical_states:
+    out = np.zeros((len(e.gadget.logical_states), instance.n_atoms), dtype=bool)
+    for row, st in zip(out, e.gadget.logical_states):
         occ = {a: (st >> loc) & 1 for loc, a in enumerate(e.nodes)}
         for ch in hooked:
             on_module = [p for p in ch.ports if p in module_atoms]
@@ -280,7 +250,7 @@ def _module_occupancies(instance, kdx):
                         "compensate",
                         f"atom {a} is double-booked with conflicting phases",
                     )
-        out.append(occ)
+        row[[a for a, bit in occ.items() if bit]] = True
     return out
 
 
@@ -292,7 +262,9 @@ def tail_compensate(instance: MWISInstance) -> np.ndarray:
     atoms, the chains hanging off it and the pairs between those chains —
     on its per-state compensation slots.  Each non-edge pair is counted at
     most once, so for a layout whose pairs all have an owner the corrected
-    weights tie the logical manifold exactly.
+    weights tie the logical manifold exactly.  A state's tail is summed
+    left to right over the module's pairs in row-major order, skipping the
+    pairs it does not fully occupy.
     """
     cfg = instance.config
     v = _tail_pairs(instance)
@@ -303,14 +275,15 @@ def tail_compensate(instance: MWISInstance) -> np.ndarray:
             v, e.nodes, e.gadget.logical_states, e.gadget.ports, cfg.detuning
         ).items():
             w1[atom] += c
-    assigned = _assign_module_pairs(instance, v)
-    for kdx in instance.modules:
+    for kdx, (a, b) in _assign_module_pairs(instance, v).items():
         e = instance.elements[kdx]
+        pair_v = v[a, b]
         occ = _module_occupancies(instance, kdx)
-        for atom, c in _module_deposits(
-            v, assigned[kdx], occ, e.gadget.comp_slots, e.nodes, cfg.detuning
-        ).items():
-            w1[atom] += c
+        tails = [sum(pair_v[on[a] & on[b]].tolist()) for on in occ]
+        for idx, slot_locals in e.gadget.comp_slots.items():
+            dep = (tails[idx] - tails[0]) / (len(slot_locals) * cfg.detuning)
+            for loc in slot_locals:
+                w1[e.nodes[loc]] += dep
     return w1
 
 
@@ -1069,35 +1042,3 @@ def displacement_shift(positions, one_mask, zero_mask, atom, direction, delta, c
         d_old = float(((pos[atom] - pos[j]) ** 2).sum())
         out += sigma * (c6 / d_new**3 - c6 / d_old**3)
     return out
-
-
-def displace_atoms(
-    positions, one_mask, zero_mask, atom, direction, target, config, *, reach=0.45
-):
-    """Move one atom so the value splitting changes by exactly ``target``.
-
-    Root-solves the full pair sum for the displacement along ``direction``
-    within ``[-reach, reach]`` spacings and returns ``(new_positions,
-    delta)``.  The moved atom must stay outside every other atom's blockade
-    disk.
-    """
-    pos = np.asarray(positions, dtype=float).copy()
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    s = config.spacing
-    delta = solve_bracketed(
-        lambda d: displacement_shift(
-            pos, one_mask, zero_mask, atom, u, d, config.c6
-        ),
-        -reach * s,
-        reach * s,
-        target=target,
-        tol=1e-12 * config.detuning,
-    )
-    pos[atom] = pos[atom] + delta * u
-    d = np.sqrt(((np.delete(pos, atom, axis=0) - pos[atom]) ** 2).sum(axis=1))
-    if float(d.min()) <= config.blockade_radius:
-        raise GeometryError(
-            f"displacing atom {atom} by {delta:.3f} enters a blockade disk"
-        )
-    return pos, delta

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from rydcomp.errors import GeometryError, ValidationError
 from rydcomp.gadgets import amalgamate, make_gadget
-from rydcomp.mwis import step_energy, ud_graph
+from rydcomp.mwis import ud_graph
 from rydcomp.physics import PhysicsConfig
+
+from oracles import step_energy
 
 CFG = PhysicsConfig(interaction_ratio=3.0)
 

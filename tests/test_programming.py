@@ -27,16 +27,18 @@ from rydcomp.parity import compile_parity, decompose_all, parity_energy
 from rydcomp.physics import PhysicsConfig, diagonal_energy, spectrum
 from rydcomp.problems import parse_problem
 from rydcomp.programming import (
+    _assign_module_pairs,
+    _copy_correction,
+    _module_occupancies,
+    _tail_pairs,
     balance_open_ports,
     build_global_layout,
     chain_profile,
-    displace_atoms,
     displacement_shift,
     homogeneous_weights,
     homogenize,
     place_anchor,
     plan_anchors,
-    quadratic_model,
     required_splitting,
     solve_bracketed,
     tail_compensate,
@@ -48,10 +50,10 @@ CFG4 = PhysicsConfig(interaction_ratio=4.0)
 MODULE_KINDS = ["three_body", "kite", "f3"]
 
 
-def layout_instance(tag, quadratic=(), cfg=CFG4):
+def layout_instance(tag, quadratic=(), cfg=CFG4, link_length=5):
     prob = parse_problem({"family": tag, "quadratic": list(quadratic)})
     return assemble_layout(
-        decompose_all(compile_parity(prob)), cfg, link_length=5
+        decompose_all(compile_parity(prob)), cfg, link_length=link_length
     )
 
 
@@ -87,6 +89,14 @@ class TestSolveBracketed:
     def test_interval_must_be_ordered(self):
         with pytest.raises(ValidationError):
             solve_bracketed(lambda t: t, 1.0, 1.0)
+
+
+def quadratic_model(fn, y0, h=1e-4):
+    """(value, slope, curvature) of ``fn`` at ``y0`` by central differences."""
+    f0 = fn(y0)
+    fp = fn(y0 + h)
+    fm = fn(y0 - h)
+    return f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / h**2
 
 
 class TestQuadraticModel:
@@ -154,6 +164,117 @@ class TestTailCompensation:
             inst.positions, w1, inst.config.detuning, masks, inst.config.c6
         )
         assert es.max() - es.min() <= 1e-12 * inst.config.detuning
+
+
+def pairwise_owners(instance, v):
+    """Reference pair ownership: every atom pair walked and classified alone.
+
+    Same rules as ``_assign_module_pairs``: a fused atom counts for the last
+    module and the last chain that list it, pairs inside one chain element
+    are the copy pass's, and two chains share the lowest-index module they
+    both hang off.  Returns ``{module: [(a, b), ...]}`` in row-major order.
+    """
+    if not instance.modules:
+        return {}
+    module_of = {}
+    for kdx in instance.modules:
+        for a in instance.elements[kdx].nodes:
+            module_of[a] = kdx
+    touch = {
+        name: {module_of[p] for p in ch.ports if p in module_of}
+        for name, ch in instance.chains.items()
+    }
+    chain_of = {}
+    for name, ch in instance.chains.items():
+        for a in ch.atoms:
+            chain_of[a] = name
+    elements_of = [set() for _ in range(instance.n_atoms)]
+    for kdx, e in enumerate(instance.elements):
+        for a in e.nodes:
+            elements_of[a].add(kdx)
+    out = {kdx: [] for kdx in instance.modules}
+    rows, cols = np.nonzero(np.triu(v, 1))
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        shared = elements_of[a] & elements_of[b]
+        if any(not instance.elements[k].is_module for k in shared):
+            continue
+        ma, mb = module_of.get(a), module_of.get(b)
+        ca, cb = chain_of.get(a), chain_of.get(b)
+        owner = None
+        if ma is not None and mb is not None:
+            owner = ma if ma == mb else None
+        elif ma is not None:
+            owner = ma if cb is not None and ma in touch[cb] else None
+        elif mb is not None:
+            owner = mb if ca is not None and mb in touch[ca] else None
+        elif ca is not None and cb is not None:
+            common = touch[ca] & touch[cb]
+            owner = min(common) if common else None
+        if owner is not None:
+            out[owner].append((a, b))
+    return out
+
+
+def pairwise_tail_compensate(instance):
+    """``tail_compensate`` with the module tails summed pair by pair."""
+    dlt = instance.config.detuning
+    v = _tail_pairs(instance)
+    w1 = instance.weights.astype(float).copy()
+    for kdx in instance.copies:
+        e = instance.elements[kdx]
+        for atom, c in _copy_correction(
+            v, e.nodes, e.gadget.logical_states, e.gadget.ports, dlt
+        ).items():
+            w1[atom] += c
+    owners = pairwise_owners(instance, v)
+    for kdx in instance.modules:
+        e = instance.elements[kdx]
+        occupancies = [row.tolist() for row in _module_occupancies(instance, kdx)]
+        tails = [
+            sum(v[a, b] * occ[a] * occ[b] for a, b in owners[kdx])
+            for occ in occupancies
+        ]
+        deposits = {}
+        for idx, slot_locals in e.gadget.comp_slots.items():
+            dep = (tails[idx] - tails[0]) / (len(slot_locals) * dlt)
+            for loc in slot_locals:
+                deposits[e.nodes[loc]] = deposits.get(e.nodes[loc], 0.0) + dep
+        for atom, c in deposits.items():
+            w1[atom] += c
+    return w1
+
+
+OWNERSHIP_CASES = [
+    pytest.param(tag, cfg, length, id=f"{tag}-r{cfg.interaction_ratio:g}-L{length}")
+    for tag in ["K_2", "K_{2,2}", "K_{2,3}", "K_{2,4}", "K_{2,5}"]
+    for cfg in (CFG3, CFG4)
+    for length in (3, 5)
+]
+
+
+class TestModulePairOwnership:
+    @staticmethod
+    def owners(instance):
+        v = _tail_pairs(instance)
+        got = {
+            kdx: list(zip(a.tolist(), b.tolist()))
+            for kdx, (a, b) in _assign_module_pairs(instance, v).items()
+        }
+        return got, pairwise_owners(instance, v)
+
+    @pytest.mark.parametrize("tag,cfg,length", OWNERSHIP_CASES)
+    def test_layouts_match_pairwise_reference(self, tag, cfg, length):
+        inst = layout_instance(tag, cfg=cfg, link_length=length)
+        got, want = self.owners(inst)
+        assert got == want
+        assert np.array_equal(tail_compensate(inst), pairwise_tail_compensate(inst))
+
+    @pytest.mark.parametrize("kind", MODULE_KINDS)
+    def test_lone_modules_match_pairwise_reference(self, kind):
+        inst = lone_instance(make_gadget(kind, config=CFG3), CFG3)
+        got, want = self.owners(inst)
+        assert got == want
+        assert np.array_equal(tail_compensate(inst), pairwise_tail_compensate(inst))
 
 
 class TestHomogeneous:
@@ -354,6 +475,32 @@ class TestAnchors:
             assert not res.entries[len(masks)].logical
 
 
+    def test_k24_logical_band_is_ground_band(self):
+        # the spectrum of a whole anchored kite grid, as `verify` runs it:
+        # 32 logical states below the first bulk state (about 0.011 units
+        # up), from block tables of at most 2,389 rows
+        cfg = CFG4
+        lay = build_global_layout(
+            decompose_all(compile_parity(parse_problem({"family": "K_{2,4}"}))),
+            cfg,
+            link_length=5,
+        )
+        masks = lay.full_masks()
+        unit = cfg.energy_unit
+        res = spectrum(
+            lay.positions,
+            lay.detunings,
+            cfg.c6,
+            0.02 * unit,
+            hint_configs=masks,
+            logical_masks=masks,
+        )
+        ground = [e for e in res.entries if e.energy <= res.ground_energy + 1e-9 * unit]
+        assert ground and all(e.logical for e in ground)
+        assert {e.config for e in res.entries[: len(masks)]} == set(masks)
+        assert res.peak_table <= 5000
+
+
 class TestBalanceOpenPorts:
     @pytest.mark.parametrize(
         "kind,length,cfg",
@@ -395,6 +542,38 @@ class TestBalanceOpenPorts:
             assert dist > 0.0
             assert len(pos) == 2
         assert anchored.positions.shape == (g.n + 2, 2)
+
+
+def displace_atoms(
+    positions, one_mask, zero_mask, atom, direction, target, config, *, reach=0.45
+):
+    """Move one atom so the value splitting changes by exactly ``target``.
+
+    Root-solves the full pair sum for the displacement along ``direction``
+    within ``[-reach, reach]`` spacings and returns ``(new_positions,
+    delta)``.  The moved atom must stay outside every other atom's blockade
+    disk.
+    """
+    pos = np.asarray(positions, dtype=float).copy()
+    u = np.asarray(direction, dtype=float)
+    u = u / np.linalg.norm(u)
+    s = config.spacing
+    delta = solve_bracketed(
+        lambda d: displacement_shift(
+            pos, one_mask, zero_mask, atom, u, d, config.c6
+        ),
+        -reach * s,
+        reach * s,
+        target=target,
+        tol=1e-12 * config.detuning,
+    )
+    pos[atom] = pos[atom] + delta * u
+    d = np.sqrt(((np.delete(pos, atom, axis=0) - pos[atom]) ** 2).sum(axis=1))
+    if float(d.min()) <= config.blockade_radius:
+        raise GeometryError(
+            f"displacing atom {atom} by {delta:.3f} enters a blockade disk"
+        )
+    return pos, delta
 
 
 class TestDisplacement:
