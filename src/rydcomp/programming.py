@@ -202,9 +202,6 @@ def _assign_module_pairs(instance, v):
         touch[c, ports[ports >= 0]] = True
     both = touch[:, None, :] & touch[None, :, :]
     common = np.where(both.any(axis=2), both.argmax(axis=2), -1)  # lowest shared
-    copies = np.zeros((n, len(instance.copies)))
-    for j, kdx in enumerate(instance.copies):
-        copies[list(instance.elements[kdx].nodes), j] = 1.0
     ma, mb = module_of[:, None], module_of[None, :]
     ca, cb = chain_of[:, None], chain_of[None, :]
     owner = np.select(
@@ -216,7 +213,9 @@ def _assign_module_pairs(instance, v):
         ],
         common[ca, cb],
     )
-    owner[copies @ copies.T > 0] = -1  # same chain element: the copy pass owns it
+    for kdx in instance.copies:  # same chain element: the copy pass owns it
+        nodes = list(instance.elements[kdx].nodes)
+        owner[np.ix_(nodes, nodes)] = -1
     rows, cols = np.nonzero(np.triu(v != 0, 1) & (owner >= 0))  # row-major
     owner = owner[rows, cols]
     return {kdx: (rows[owner == kdx], cols[owner == kdx]) for kdx in instance.modules}
