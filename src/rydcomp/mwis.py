@@ -151,9 +151,12 @@ def solve_mwis(g: UDGraph, weights, tol: float = 1e-9) -> MWISSolution:
     vertex ``k``; taking ``k`` needs bit 0 clear and adds its later
     neighbours.  Each layer keeps the best prefix value of every state and
     the edges into it, so one layer is only as wide as the sweep's
-    frontier.  A backtrack from the last layer then follows an edge only if
-    the best prefix value plus the edge plus the suffix already fixed
-    reaches ``best - tol``, which yields every near-tie exactly once.  On
+    frontier.  An edge's regret is how far its prefix value falls short of
+    the best one of the state it enters, and a path falls short of the
+    optimum by the sum of its regrets.  A backtrack from the last layer
+    follows an edge only while that sum stays within ``tol``, which yields
+    every near-tie exactly once.  Edges on a best path regret exactly zero,
+    so rounding never loses the optimum itself, even at ``tol=0``.  On
     the kite grids ``K_{2,3}`` to ``K_{2,6}`` (80 to 185 atoms, 16 to 128
     maximisers) the widest layer holds 80 states, and ``K_{2,6}`` solves
     in 8 to 14 ms on one core of a 2-vCPU Xeon host.  ``peak_frontier``
@@ -186,20 +189,21 @@ def solve_mwis(g: UDGraph, weights, tol: float = 1e-9) -> MWISSolution:
                     nxt[t] = tv
         into.append(edges)
         layer = nxt
-    floor = layer[0] - tol
-    paths = {0: [(0.0, 0)]}  # state -> (suffix value, mask) of each kept suffix
+    prefix.append(layer)
+    paths = {0: [(0.0, 0)]}  # state -> (summed regret, mask) of each kept suffix
     for k in range(g.n - 1, -1, -1):
-        before, wk, bit = prefix[k], w[k], 1 << order[k]
+        before, after, bit = prefix[k], prefix[k + 1], 1 << order[k]
         back = {}
         for t, suffixes in paths.items():
             for s, taken in into[k][t]:
-                if taken:
-                    keep = [(v + wk, m | bit) for v, m in suffixes]
+                regret = (before[s] + w[k] if taken else before[s]) - after[t]
+                add = bit if taken else 0
+                if regret == 0.0:  # every suffix kept so far stays
+                    keep = [(d, m | add) for d, m in suffixes] if add else suffixes
                 else:
-                    keep = suffixes
-                keep = [p for p in keep if before[s] + p[0] >= floor]
+                    keep = [(d + regret, m | add) for d, m in suffixes if d + regret >= -tol]
                 if keep:
                     back.setdefault(s, []).extend(keep)
         paths = back
-    peak = max(map(len, prefix), default=1)
-    return MWISSolution(float(layer[0]), tuple(sorted(m for _, m in paths[0])), peak)
+    masks = tuple(sorted(m for _, m in paths[0]))
+    return MWISSolution(float(layer[0]), masks, max(map(len, prefix)))

@@ -127,6 +127,20 @@ class TestSolve:
         assert sol.value == pytest.approx(best, abs=1e-12)
         assert list(sol.masks) == masks
 
+    def test_zero_tolerance_keeps_the_optimum(self):
+        # float sums round differently along different paths; at tol=0 the
+        # optimum must still come out (a memoised branch and bound returned
+        # no maximiser on 12 of these 200 layouts)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 13))
+            pos = rng.uniform(0, 3.2, size=(n, 2))
+            w = rng.uniform(0.1, 3.0, size=n)
+            g = mwis.ud_graph(pos, 1.25)
+            sol = mwis.solve_mwis(g, w, tol=0.0)
+            _, masks = brute_mwis(g, w, tol=1e-12)
+            assert sol.masks and set(sol.masks) <= set(masks)
+
 
 @st.composite
 def tied_layouts(draw):
