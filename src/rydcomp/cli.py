@@ -120,7 +120,12 @@ def build_link_testbed(config: PhysicsConfig, length: int = 5, *, end_distance: 
     def split(y):
         return e_on([(x, y)]) - e_off([(x, y)])
 
-    height = solve_bracketed(split, 0.5 * d, 5.0 * d, tol=1e-13 * det)
+    def split_batch(ys):
+        rows = np.stack([np.full(len(ys), x), ys], axis=1)[:, None, :]
+        (v_on, b_on), (v_off, b_off) = e_on.batch(rows), e_off.batch(rows)
+        return v_on - v_off, b_on + b_off
+
+    height = solve_bracketed(split, 0.5 * d, 5.0 * d, tol=1e-13 * det, scan=split_batch)
     positions = np.vstack([base, [x, height]])
     return LinkTestbed(
         config, positions, center_on, center_off, center, length + 2, height
@@ -291,8 +296,7 @@ def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
         hashes={"gadget": reports.fingerprint(reports.gadget_document(anchored, config))},
     )
     band = report["logical_band"]
-    complete = band is not None and band["count"] == len(masks)
-    tight = complete and band["spread"] <= 1e-9 * unit
+    tight = _complete(band, masks, result) and band["spread"] <= 1e-9 * unit
     verified = bool(
         report["ground_all_logical"] and report["anchors_excited"] and tight
     )
@@ -308,6 +312,15 @@ def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
     _say(f"anchors excited: {report['anchors_excited']}")
     _say("verified" if verified else "VERIFICATION FAILED")
     return 0 if verified else 4
+
+
+def _complete(band, masks, result) -> bool:
+    """Whether the window lists every logical state and nothing was cut off.
+
+    A window too small for the band, or a spectrum truncated at ``cap``,
+    leaves states unseen, so neither route may call such a layout verified.
+    """
+    return band is not None and band["count"] == len(masks) and not result.truncated
 
 
 def _decode_ground(entries, layout, program, problem, optimum):
@@ -360,13 +373,16 @@ def _verify_problem(rc: RunConfig) -> int:
     _, decode_ok = _decode_ground(ground, layout, program, problem, optimum)
     report["decode_consistent"] = decode_ok
     report["optimum"] = optimum
+    band = report["logical_band"]
     verified = bool(
-        report["ground_all_logical"] and report["anchors_excited"] and decode_ok
+        report["ground_all_logical"]
+        and report["anchors_excited"]
+        and decode_ok
+        and _complete(band, masks, result)
     )
     report["verified"] = verified
     reports.write_json(os.path.join(rc.out, "report.json"), report)
     reports.write_spectrum_csv(os.path.join(rc.out, "spectrum.csv"), result, config)
-    band = report["logical_band"]
     _say(f"problem: {problem.label} ({layout.n_comp}+{layout.n_anchors} atoms)")
     _say(f"states in window: {len(result.entries)}")
     _say(f"largest block table: {result.peak_table} rows")

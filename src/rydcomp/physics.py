@@ -9,7 +9,10 @@ energies; it is recorded on the config purely for layout documents).
 Occupation patterns are plain integer bitmasks with atom ``i`` on bit ``i``.
 ``diagonal_energy`` is the reference pair sum; ``moving_energy`` is its
 kernel for root solving, which fixes one pattern and recomputes only the
-pairs of the atoms that move, bitwise equal to ``diagonal_energy``.
+pairs of the atoms that move, bitwise equal to ``diagonal_energy``.  Its
+``batch`` form scores many placements at once through ``batch_pair_sum``,
+which returns each value with a bound on how far it may sit from the
+scalar call; root solvers trust a batched sign only outside that bound.
 
 Spectra are exact: no interaction tails are ever truncated.  Up to 20 atoms a
 vectorised full enumeration is used; larger layouts go through a spatial-block
@@ -39,6 +42,7 @@ from .errors import EnumerationBudgetError, GeometryError, ValidationError
 from .mwis import _sweep_order
 
 _COINCIDENT = 1e-12
+_EPS = float(np.finfo(float).eps)
 _BLOCK_SIZE = 10  # atoms per block of the branch-and-bound's first tables
 _NEAR = 1.5  # sweep-graph edges join pairs closer than this times the closest pair
 
@@ -111,27 +115,17 @@ def bitstring(mask: int, n: int) -> str:
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
 
 
-def diagonal_energy(positions, detunings, config: int, c6=None, *, pair_energy=None):
-    """Energy of one occupation pattern.
+def diagonal_energy(positions, detunings, config: int, c6):
+    """Energy of one occupation pattern under van der Waals pairs ``c6 / r**6``.
 
-    Exactly one of ``c6`` (van der Waals) or ``pair_energy`` (a precomputed
-    symmetric matrix, e.g. a step potential) selects the pair model.  Raises
-    GeometryError when two *excited* atoms coincide, since the vdW energy is
-    then undefined.
+    Raises GeometryError when two *excited* atoms coincide, since the energy
+    is then undefined.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
     det = np.broadcast_to(np.asarray(detunings, dtype=float), (n,))
     idx = [i for i in range(n) if (config >> i) & 1]
     e = -float(det[idx].sum()) if idx else 0.0
-    if pair_energy is not None:
-        pe = np.asarray(pair_energy, dtype=float)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                e += float(pe[idx[a], idx[b]])
-        return e
-    if c6 is None:
-        raise ValidationError("supply either c6 or pair_energy")
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
             d2 = float(((pos[idx[a]] - pos[idx[b]]) ** 2).sum())
@@ -141,6 +135,40 @@ def diagonal_energy(positions, detunings, config: int, c6=None, *, pair_energy=N
                 )
             e += c6 / d2**3
     return e
+
+
+def batch_pair_sum(dx, dy, coeff, *, fixed=0.0, fixed_abs=0.0, n_fixed=0):
+    """Rows of ``fixed + sum_s coeff_s / d2_s**3`` and a bound on their rounding.
+
+    One row per placement: ``dx``/``dy`` are the planar offsets of the pairs
+    that move, formed with the scalar call's operations, so ``d2 = dx*dx +
+    dy*dy`` is bitwise the scalar's.  ``fixed`` is the scalar call's sum of
+    its other ``n_fixed`` summands and ``fixed_abs`` their absolute sum.
+    Returns ``(values, bounds)``: ``|value - scalar| <= bound`` for a scalar
+    call that sums the same terms in any order with ``c / d2**3``.  Why:
+
+    - the cube is ``d2*d2*d2`` (two roundings) in place of ``d2**3`` (one
+      ``pow``, within an ulp), and each term is one correctly rounded
+      division, so a term moves by at most ``3*eps`` of itself;
+    - the summation order differs: summing n numbers in any order lands
+      within ``(n-1)*eps/2*M`` of the exact sum, ``M`` the sum of their
+      absolute values, so two orders differ by at most ``(n-1)*eps*M``.
+
+    Together that is ``(n+2)*eps*M``; the bound is ``2*(n+8)*eps*M``.  The
+    slack covers a numpy ``pow`` a few ulps off, second-order terms, the
+    rounding of the bound itself and of the caller's sign test, and one
+    subtraction of two such sums, whose bounds then simply add.  A row with
+    a pair closer than the coincidence limit gets an infinite bound, so a
+    caller re-scores it with the scalar call and sees that call's error.
+    """
+    d2 = dx * dx + dy * dy
+    close = d2 < _COINCIDENT**2
+    terms = coeff / np.where(close, 1.0, d2 * d2 * d2)
+    values = fixed + terms.sum(axis=1)
+    n = n_fixed + terms.shape[1]
+    bounds = 2.0 * (n + 8) * _EPS * (fixed_abs + np.abs(terms).sum(axis=1))
+    bounds[close.any(axis=1)] = np.inf
+    return values, bounds
 
 
 def moving_energy(positions, detunings, config: int, c6, moving=()):
@@ -155,6 +183,11 @@ def moving_energy(positions, detunings, config: int, c6, moving=()):
     that order, so the result is bitwise equal to ``diagonal_energy``.  Raises
     GeometryError, as that function does, when two excited atoms coincide.
     Positions are planar ``(x, y)`` rows.
+
+    ``f.batch(rows)`` scores Y placements at once, ``rows`` of shape
+    ``(Y, len(moving), 2)``, from the same slot table.  It returns the values
+    and, per value, a bound on its distance from ``f`` on the same rows (see
+    :func:`batch_pair_sum`); it never raises.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
@@ -163,7 +196,7 @@ def moving_energy(positions, detunings, config: int, c6, moving=()):
     head = -float(det[idx].sum()) if idx else 0.0
     row_of = {i: k for k, i in enumerate(moving)}
     pts = pos.tolist()
-    terms, slots = [], []
+    terms, slots, fixed = [], [], []
     for i, j in combinations(idx, 2):
         if i in row_of or j in row_of:
             slots.append((len(terms), i, j, row_of.get(i), row_of.get(j)))
@@ -173,6 +206,7 @@ def moving_energy(positions, detunings, config: int, c6, moving=()):
         if d2 < _COINCIDENT**2:
             raise GeometryError(f"excited atoms {i} and {j} coincide")
         terms.append(c6 / d2**3)
+        fixed.append(terms[-1])
 
     def energy(rows):
         for t, i, j, ri, rj in slots:
@@ -186,6 +220,26 @@ def moving_energy(positions, detunings, config: int, c6, moving=()):
             terms[t] = c6 / d2**3
         return reduce(add, terms, head)  # left to right, as diagonal_energy adds
 
+    # per slot: both atoms, and the row each takes (-1: it stays put)
+    si, sj, ri, rj = np.array(
+        [(i, j, -1 if a is None else a, -1 if b is None else b) for _, i, j, a, b in slots],
+        dtype=int,
+    ).reshape(-1, 4).T
+    base = reduce(add, fixed, head)
+    base_abs = abs(head) + sum(abs(t) for t in fixed)
+
+    def batch(rows):
+        rows = np.asarray(rows, dtype=float)
+        px, py, qx, qy = (
+            np.where(r >= 0, rows[:, r, c], pos[a, c])
+            for a, r in ((si, ri), (sj, rj))
+            for c in (0, 1)
+        )
+        return batch_pair_sum(
+            px - qx, py - qy, c6, fixed=base, fixed_abs=base_abs, n_fixed=len(fixed) + 1
+        )
+
+    energy.batch = batch
     return energy
 
 

@@ -19,6 +19,13 @@ gap in three exact bookkeeping steps plus one geometric one:
 4. ``build_global_layout`` runs the full pipeline and returns atom
    positions plus one uniform detuning per atom.
 
+Every anchor distance is one root solve (``solve_bracketed``): a bracket
+scan over 128 samples, then scalar bisection and a secant polish.  The scan
+scores all samples in one pass through the batch forms of
+``service_functional`` and ``physics.moving_energy`` and takes a sign from
+that pass only where its rounding bound certifies it, so every root is bit
+for bit the one the scalar functional alone gives.
+
 A free-standing gadget is compensated and homogenised by the same
 ``tail_compensate`` and ``homogenize``, as a one-element instance
 (``assembly.lone_instance``).  Only its anchoring is specific to gadgets:
@@ -45,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .gadgets import Gadget
-from .physics import mask_of, moving_energy, pair_matrix
+from .physics import batch_pair_sum, mask_of, moving_energy, pair_matrix
 
 # Sweeping a slot deposit onto the ports: the half-difference map sends the
 # per-state deposits (a, b, c) to port increments that move every logical
@@ -78,13 +85,24 @@ _ORBITS = {
 }
 
 
-def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, samples=128):
+def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, samples=128, scan=None):
     """Solve ``fn(y) == target`` on [lo, hi] without derivatives.
 
     A uniform scan finds a sign change, bisection shrinks it, and a secant
     polish drives the residual below ``tol`` (same units as ``fn``).  Raises
     :class:`NoRootInRange` when the scan sees no crossing or the polish
     cannot reach the tolerance.
+
+    ``scan(ys)`` scores every sample at once: it returns estimates of
+    ``fn`` at the float array ``ys`` and, per estimate, an absolute bound on
+    its distance from ``fn`` (a batch form such as ``moving_energy``'s).  A
+    sample takes its sign from the estimate only when the estimate clears
+    ``target`` by more than its bound; every other sample is re-scored with
+    ``fn``, and the bracket's two ends always take their values from ``fn``.
+    The signs, hence the bracket, and the values bisection and the polish
+    start from are therefore exactly those of ``fn`` alone, and so is the
+    root, bit for bit.  Without ``scan`` the scan is ``fn`` itself with
+    bound 0.
     """
     if not lo < hi:
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
@@ -92,27 +110,40 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, samples=128):
     def g(y):
         return fn(y) - target
 
-    ys = np.linspace(lo, hi, samples).tolist()
-    vals = [g(y) for y in ys]
-    bracket = None
-    for k in range(samples - 1):
-        if vals[k] == 0.0:
-            bracket = (k, k)
-            break
-        if vals[k] * vals[k + 1] < 0.0:
-            bracket = (k, k + 1)
-            break
+    if scan is None:
+
+        def scan(ys):
+            return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
+
+    grid = np.linspace(lo, hi, samples)
+    ys = grid.tolist()
+    est, bound = scan(grid)
+    miss = est - target
+    sign = np.sign(miss)
+    exact = {}  # sample -> residual from fn
+    # not "<=": a NaN estimate or bound is re-scored too
+    for k in np.flatnonzero(~(np.abs(miss) > bound)).tolist():
+        exact[k] = g(ys[k])
+        sign[k] = np.sign(exact[k])
+    # the first sample that is a root or opens a sign change, as a scan of
+    # fn alone finds it
+    stop = (sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0)
+    if stop.any():
+        k = int(np.argmax(stop))
+        bracket = (k, k) if sign[k] == 0 else (k, k + 1)
+    elif sign[-1] == 0:
+        bracket = (samples - 1, samples - 1)
     else:
-        if vals[-1] == 0.0:
-            bracket = (-1, -1)
-    if bracket is None:
         raise NoRootInRange(
             f"no sign change against target {target:.6g} in [{lo:.6g}, {hi:.6g}]",
             lo,
             hi,
         )
+    for k in bracket:
+        if k not in exact:
+            exact[k] = g(ys[k])
     a, b = (ys[k] for k in bracket)
-    fa, fb = (vals[k] for k in bracket)
+    fa, fb = (exact[k] for k in bracket)
     if fa == 0.0:
         b, fb = a, fa
     for _ in range(100):
@@ -395,7 +426,9 @@ def place_anchor(prof, base, direction, target, config, *, lo=0.5, hi=5.0, cap=6
     Distances are in units of the lattice spacing; the search window grows
     (up to ``cap`` spacings) when the target is too weak for the first
     bracket.  Returns ``(position, distance)``; the residual is at most
-    1e-12 of the detuning.
+    1e-12 of the detuning.  ``prof`` carries a batch form ``prof.batch``, as
+    :func:`service_functional` does, which scores each window's bracket scan
+    in one pass.
     """
     base = np.asarray(base, dtype=float)
     u = np.asarray(direction, dtype=float)
@@ -405,6 +438,10 @@ def place_anchor(prof, base, direction, target, config, *, lo=0.5, hi=5.0, cap=6
     if cap <= lo:
         raise NoRootInRange(f"no room on this ray: cap {cap:.2f} <= {lo:.2f}")
     top = min(hi, cap)
+
+    def scan(ts):
+        return prof.batch(base + ts[:, None] * u)  # the scalar's base + t * u
+
     while True:
         try:
             y = solve_bracketed(
@@ -413,6 +450,7 @@ def place_anchor(prof, base, direction, target, config, *, lo=0.5, hi=5.0, cap=6
                 top * s,
                 target=target,
                 tol=tol,
+                scan=scan,
             )
             break
         except NoRootInRange:
@@ -450,7 +488,8 @@ def _chain_normal(instance, ch, index):
 
 def _clearance(instance, ch, q):
     """Distance from ``q`` to the nearest atom outside this chain."""
-    others = [a for a in range(instance.n_atoms) if a not in set(ch.atoms)]
+    mine = set(ch.atoms)
+    others = [a for a in range(instance.n_atoms) if a not in mine]
     if not others:
         return math.inf
     d = instance.positions[others] - np.asarray(q, dtype=float)
@@ -681,6 +720,11 @@ def service_functional(instance: MWISInstance, name):
     cancel almost exactly, and a solver aiming only the direct channel
     chases that cancellation forever.  Both channels are weighted sums of
     C6/r^6 over fixed atoms, so the functional is one coefficient vector.
+
+    ``service.batch(qs)`` scores the probe rows ``qs`` of shape ``(Y, 2)``
+    at once from the same coefficient vector, returning the values and a
+    bound on each one's distance from ``service`` (see
+    :func:`physics.batch_pair_sum`).
     """
     ch = instance.chains[name]
     cfg = instance.config
@@ -723,6 +767,14 @@ def service_functional(instance: MWISInstance, name):
         d2 = ((pts - np.asarray(q, dtype=float)) ** 2).sum(axis=1)
         return float(np.sum(wts * c6 / d2**3))
 
+    px, py = pts.T
+    wc = wts * c6  # the scalar's wts * c6, rounded the same way
+
+    def batch(qs):
+        qs = np.asarray(qs, dtype=float)
+        return batch_pair_sum(px - qs[:, :1], py - qs[:, 1:], wc)
+
+    service.batch = batch
     return service
 
 
@@ -924,8 +976,9 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
     pair energy.  Each logical state gets one ``physics.moving_energy``
     kernel with the anchors as its moving atoms, so a trial distance
     recomputes only the anchor pairs, bitwise equal to ``diagonal_energy``
-    on the stacked layout.  Only this polish is specific to free-standing
-    gadgets.
+    on the stacked layout.  Each root solve's bracket scan goes through the
+    kernels' batch forms in one pass, so the roots are those of the scalar
+    kernels alone.  Only this polish is specific to free-standing gadgets.
     """
     cfg = config
     dlt = cfg.detuning
@@ -985,8 +1038,19 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
                     trial[name] = y
                 return split(trial, hi, lo)
 
+            def gap_batch(ys):
+                rows = np.empty((len(ys), len(names), 2))
+                rows[:] = anchor_rows(dist)
+                for k, name in enumerate(names):
+                    if name in members:
+                        base, axis, norm = rays[k]
+                        # anchor_rows' b + d * u / norm, one sample per row
+                        rows[:, k] = base + ys[:, None] * np.array(axis) / norm
+                (e_hi, b_hi), (e_lo, b_lo) = (kernels[st].batch(rows) for st in (hi, lo))
+                return e_hi - e_lo, b_hi + b_lo
+
             y = solve_bracketed(
-                gap, 0.25 * cfg.spacing, 6.0 * cfg.spacing, tol=scale
+                gap, 0.25 * cfg.spacing, 6.0 * cfg.spacing, tol=scale, scan=gap_batch
             )
             for name in members:
                 dist[name] = y

@@ -43,3 +43,21 @@ def step_energy(g, detunings, coupling, config: int) -> float:
         if (config >> i) & 1 and (config >> j) & 1:
             e += coupling
     return e
+
+
+def matrix_energy(pair_energy, detunings, config: int) -> float:
+    """Energy of one pattern under a precomputed symmetric pair matrix.
+
+    ``-sum detunings`` over the excited atoms plus ``pair_energy[a, b]`` for
+    every excited pair ``a < b``: the van der Waals sum of
+    ``physics.diagonal_energy`` with the pair model swapped, e.g. for a step
+    potential.
+    """
+    pe = np.asarray(pair_energy, dtype=float)
+    det = np.broadcast_to(np.asarray(detunings, dtype=float), (len(pe),))
+    idx = [i for i in range(len(pe)) if (config >> i) & 1]
+    e = -float(det[idx].sum()) if idx else 0.0
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            e += float(pe[idx[a], idx[b]])
+    return e

@@ -170,11 +170,48 @@ class TestVerify:
         assert report["verified"] and report["logical_band"]["count"] == 4
 
     def test_problem_route_decodes(self, tmp_path):
-        code, out = run(tmp_path, "verify", "--problem", problem_file(tmp_path, K2))
+        # the coupling puts one logical state 0.25 detunings up, above the
+        # default window; the window must hold the whole band to verify
+        code, out = run(
+            tmp_path, "verify", "--problem", problem_file(tmp_path, K2), "--window", "0.1"
+        )
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["verified"] and report["decode_consistent"]
         assert report["optimum"] == 0.0
+
+    def test_incomplete_band_fails(self, tmp_path, capsys):
+        # a window narrower than the band lists only 4 of the 8 logical states
+        k22 = problem_file(tmp_path, {"family": "K_{2,2}"})
+        code, out = run(tmp_path, "verify", "--problem", k22, "--window", "0.00005")
+        assert code == 4
+        assert "VERIFICATION FAILED" in capsys.readouterr().out.splitlines()
+        report = json.loads((out / "report.json").read_text())
+        assert report["logical_band"]["count"] == 4
+        assert report["ground_all_logical"] and report["decode_consistent"]
+        assert not report["verified"]
+
+    def test_truncated_spectrum_fails(self, tmp_path):
+        # the fork's window holds its 2 logical states and 2 bulk states: a
+        # cap of 3 keeps the whole band but cuts the spectrum short
+        rc = cli.RunConfig(
+            subcommand="verify",
+            problem="fork",
+            ratio=None,
+            link_length=5,
+            window=0.02,
+            cap=3,
+            out=str(tmp_path),
+            seed=0,
+            param=None,
+            sweep_range=None,
+            steps=1,
+            trials=1,
+        )
+        assert cli.cmd_verify(rc) == 4
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["truncated"] and report["logical_band"]["count"] == 2
+        assert not report["verified"]
 
     @pytest.mark.parametrize("spec", ["hexagon", "link:4", "link:2"])
     def test_bad_gadget_spec(self, tmp_path, spec):

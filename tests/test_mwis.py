@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rydcomp import mwis, physics
 from rydcomp.errors import ValidationError
 
-from oracles import enumerate_independent_sets, step_energy
+from oracles import enumerate_independent_sets, matrix_energy, step_energy
 
 
 def chain(n, spacing=1.0):
@@ -200,8 +200,8 @@ class TestStepEnergy:
             step_energy(g, 5.0, 3.0, 0b01)
 
     def test_matches_step_potential_diagonal_energy(self):
-        # same model two ways: step pair matrix through the physics module vs
-        # the graph-based sum here, across every configuration
+        # same model two ways: a step pair matrix summed like the physics
+        # module's pair sum vs the graph-based sum, across every configuration
         pos = chain(5)
         cfg = physics.PhysicsConfig(interaction_ratio=3.0)
         g = mwis.ud_graph(pos, cfg.blockade_radius)
@@ -209,6 +209,6 @@ class TestStepEnergy:
         d = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
         step = np.where((d < cfg.blockade_radius) & (d > 0), u, 0.0)
         for config in range(2**5):
-            a = physics.diagonal_energy(pos, cfg.detuning, config, pair_energy=step)
+            a = matrix_energy(step, cfg.detuning, config)
             b = step_energy(g, cfg.detuning, u, config)
             assert a == pytest.approx(b, abs=1e-12)

@@ -19,6 +19,8 @@ from rydcomp.parity import compile_parity, decompose_all
 from rydcomp.problems import parse_problem
 from rydcomp.programming import balance_open_ports, homogenize, tail_compensate
 
+from oracles import matrix_energy
+
 
 def brute_energy(positions, detunings, mask, c6):
     """Independent O(n^2) reference implementation used as the oracle."""
@@ -131,9 +133,8 @@ class TestDiagonalEnergy:
         assert e == pytest.approx(-2.0 + 1.0)
 
     def test_pair_energy_override(self):
-        pos = chain(3)
         pe = np.full((3, 3), 7.0)
-        e = physics.diagonal_energy(pos, 1.0, 0b111, pair_energy=pe)
+        e = matrix_energy(pe, 1.0, 0b111)
         assert e == pytest.approx(-3.0 + 3 * 7.0)
 
     @given(
@@ -200,6 +201,43 @@ class TestMovingEnergy:
         f = physics.moving_energy(pos, det, mask, 2.7, moving)
         pos[moving] = rng.uniform(0, 5, size=(len(moving), 2))
         assert f(pos[moving]) == physics.diagonal_energy(pos, det, mask, c6=2.7)
+
+    @given(
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_within_bound_of_scalar(self, n, n_moving, seed):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 8, size=(n, 2))
+        det = rng.uniform(0.5, 2.0, size=n)
+        mask = int(rng.integers(0, 1 << n))
+        moving = sorted(rng.choice(n, size=min(n_moving, n), replace=False).tolist())
+        f = physics.moving_energy(pos, det, mask, 2.7, moving)
+        rows = rng.uniform(0, 8, size=(6, len(moving), 2))
+        rows[0] = pos[moving]  # where the atoms stand
+        values, bounds = f.batch(rows)
+        assert values.shape == bounds.shape == (6,)
+        exc = nodes_of(mask, n)
+        for row, value, bound in zip(rows, values, bounds):
+            exact = f(row.tolist())
+            assert abs(value - exact) <= bound
+            # and the bound stays at the 1e-12 scale of the summed magnitudes
+            placed = pos.copy()
+            placed[moving] = row
+            size = det[exc].sum() + sum(
+                2.7 / math.dist(placed[a], placed[b]) ** 6
+                for a, b in itertools.combinations(exc, 2)
+            )
+            assert bound <= 1e-12 * size
+
+    def test_batch_marks_coincident_rows_for_rescoring(self):
+        pos = chain(3)
+        f = physics.moving_energy(pos, 1.0, 0b111, 1.0, (2,))
+        values, bounds = f.batch(np.array([[pos[0]], [pos[2]]]))
+        assert bounds[0] == np.inf and math.isfinite(bounds[1])
+        assert values[1] == pytest.approx(f([pos[2]]), rel=1e-14)
 
     def test_idle_moving_atom_has_no_pairs(self):
         pos = chain(4)

@@ -8,12 +8,15 @@ per-state totals, and anchored systems put their logical states at the
 bottom of the exact spectrum, degenerate to solver tolerance.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from rydcomp import programming
 
 from rydcomp.assembly import assemble_layout, logical_subspace, lone_instance
 from rydcomp.errors import (
@@ -24,7 +27,7 @@ from rydcomp.errors import (
 from rydcomp.gadgets import make_gadget
 from rydcomp.mwis import solve_mwis, ud_graph
 from rydcomp.parity import compile_parity, decompose_all, parity_energy
-from rydcomp.physics import PhysicsConfig, diagonal_energy, spectrum
+from rydcomp.physics import PhysicsConfig, batch_pair_sum, diagonal_energy, spectrum
 from rydcomp.problems import parse_problem
 from rydcomp.programming import (
     _assign_module_pairs,
@@ -40,6 +43,7 @@ from rydcomp.programming import (
     place_anchor,
     plan_anchors,
     required_splitting,
+    service_functional,
     solve_bracketed,
     tail_compensate,
 )
@@ -89,6 +93,142 @@ class TestSolveBracketed:
     def test_interval_must_be_ordered(self):
         with pytest.raises(ValidationError):
             solve_bracketed(lambda t: t, 1.0, 1.0)
+
+
+def lying_scan(fn, target=0.0, flip=lambda k: k % 3 == 0):
+    """A scan whose estimates are off by up to their bound, and in sign too.
+
+    A flipped sample's estimate sits exactly its own bound away from the
+    truth, on the other side of ``target``; an exact root is reported as a
+    nonzero estimate inside its bound.  Only re-scoring with ``fn`` finds
+    their true signs.  Every other estimate has the right sign, clear of
+    its bound, but is 30% too large, so a value read from the scan where
+    ``fn``'s is due moves the root.
+    """
+
+    def scan(ys):
+        miss = np.array([fn(y) for y in ys.tolist()]) - target
+        flipped = np.array([flip(k) for k in range(len(ys))])
+        est = target + np.where(flipped, -miss, 1.3 * miss)
+        bound = np.where(flipped, 2.0, 0.4) * np.abs(miss)
+        est[miss == 0.0] = target + 1e-3
+        bound[miss == 0.0] = 1e-3
+        return est, bound
+
+    return scan
+
+
+class TestBatchedScan:
+    GRID = np.linspace(-1.0, 1.0, 128).tolist()
+
+    @given(st.floats(min_value=-0.8, max_value=0.8))
+    @example(GRID[37])  # roots exactly on a grid sample
+    @example(GRID[0])
+    @example(GRID[127])
+    @example(GRID[64])
+    @example(math.nextafter(GRID[37], 1.0))  # one end never moves in bisection
+    @example(math.nextafter(GRID[90], -1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_lying_scan_keeps_root_bits(self, r):
+        def fn(t):
+            return (t - r) ** 3 + (t - r)
+
+        want = solve_bracketed(fn, -1.0, 1.0)
+        assert solve_bracketed(fn, -1.0, 1.0, scan=lying_scan(fn)).hex() == want.hex()
+        for flip in (lambda k: True, lambda k: k < 64, lambda k: k % 2 == 1):
+            got = solve_bracketed(fn, -1.0, 1.0, scan=lying_scan(fn, flip=flip))
+            assert got.hex() == want.hex()
+
+    def test_lying_scan_against_target(self):
+        def fn(t):
+            return t**-6
+
+        want = solve_bracketed(fn, 0.5, 3.0, target=0.5)
+        got = solve_bracketed(fn, 0.5, 3.0, target=0.5, scan=lying_scan(fn, 0.5))
+        assert got.hex() == want.hex()
+
+    def test_lying_scan_without_root_still_refuses(self):
+        def fn(t):
+            return t**2 + 1.0
+
+        with pytest.raises(NoRootInRange, match="no sign change"):
+            solve_bracketed(fn, -2.0, 2.0, scan=lying_scan(fn))
+
+    def test_trusted_scan_calls_fn_only_at_bracket_and_polish(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return t - 0.3
+
+        def scan(ys):
+            return ys - 0.3, np.zeros(len(ys))
+
+        y = solve_bracketed(fn, -1.0, 1.0, scan=scan)
+        assert abs(y - 0.3) < 1e-12
+        assert len(calls) < 50
+        # the bracket's ends take their values from fn, before any bisection
+        k = int(np.searchsorted(self.GRID, 0.3))
+        assert calls[:2] == [self.GRID[k - 1], self.GRID[k]]
+
+    @given(
+        st.sampled_from(["K_{2,2}", "K_{2,3}"]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_service_batch_within_bound_on_rays(self, tag, seed):
+        inst = cached_instance(tag)
+        rng = np.random.default_rng(seed)
+        names = list(inst.chains)
+        name = names[int(rng.integers(len(names)))]
+        service = service_functional(inst, name)
+        atoms = inst.chains[name].atoms
+        base = inst.positions[atoms[int(rng.integers(len(atoms)))]]
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        u = np.array([math.cos(angle), math.sin(angle)])
+        ts = np.sort(rng.uniform(0.5, 60.0, size=16))
+        values, bounds = service.batch(base + ts[:, None] * u)
+        for t, value, bound in zip(ts.tolist(), values, bounds):
+            exact = service(base + t * u)
+            assert abs(value - exact) <= bound < math.inf
+
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("spec", ["link:5", "link:21", "three_body", "kite", "fork", "f3"])
+    def test_balance_bitwise_equal_to_scalar_scan(self, spec, ratio, monkeypatch):
+        kind, _, length = spec.partition(":")
+        cfg = PhysicsConfig(interaction_ratio=ratio)
+        gadget = make_gadget(kind, config=cfg, length=int(length) if length else None)
+        real = programming.solve_bracketed
+        counts = []
+
+        def outcome():
+            anchored = balance_open_ports(gadget, cfg)
+            return anchored.anchors, anchored.positions.tobytes()
+
+        def batched(fn, lo, hi, **kw):
+            calls = []
+
+            def counted(y):
+                calls.append(y)
+                return fn(y)
+
+            y = real(counted, lo, hi, **kw)
+            counts.append(len(calls))
+            return y
+
+        def scalar(fn, lo, hi, *, scan, **kw):
+            return real(fn, lo, hi, **kw)
+
+        monkeypatch.setattr(programming, "solve_bracketed", batched)
+        got = outcome()
+        monkeypatch.setattr(programming, "solve_bracketed", scalar)
+        assert got == outcome()
+        assert counts and max(counts) <= 50
+
+
+@functools.lru_cache(maxsize=None)
+def cached_instance(tag):
+    return layout_instance(tag)
 
 
 def quadratic_model(fn, y0, h=1e-4):
@@ -384,6 +524,7 @@ class TestAnchors:
             q = np.asarray(q, dtype=float)
             return c6 / float((q**2).sum()) ** 3
 
+        prof.batch = lambda qs: batch_pair_sum(qs[:, :1], qs[:, 1:], c6)
         target = 0.3 * CFG4.detuning
         pos, dist = place_anchor(prof, (0.0, 0.0), (0.0, 1.0), target, CFG4)
         assert dist == pytest.approx((c6 / target) ** (1.0 / 6.0), abs=1e-9)
