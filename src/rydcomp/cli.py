@@ -296,7 +296,7 @@ def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
         hashes={"gadget": reports.fingerprint(reports.gadget_document(anchored, config))},
     )
     band = report["logical_band"]
-    tight = _complete(band, masks, result) and band["spread"] <= 1e-9 * unit
+    tight = _clean_band(report, masks, result) and band["spread"] <= 1e-9 * unit
     verified = bool(
         report["ground_all_logical"] and report["anchors_excited"] and tight
     )
@@ -314,13 +314,20 @@ def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
     return 0 if verified else 4
 
 
-def _complete(band, masks, result) -> bool:
-    """Whether the window lists every logical state and nothing was cut off.
+def _clean_band(report, masks, result) -> bool:
+    """Whether the window lists the whole logical band, below every bulk state.
 
-    A window too small for the band, or a spectrum truncated at ``cap``,
-    leaves states unseen, so neither route may call such a layout verified.
+    A window too small for the band or a spectrum truncated at ``cap`` leaves
+    states unseen, and a gap that is not positive puts a bulk state among
+    the logical states: neither route may call such a layout verified.
     """
-    return band is not None and band["count"] == len(masks) and not result.truncated
+    band = report["logical_band"]
+    return (
+        band is not None
+        and band["count"] == len(masks)
+        and not result.truncated
+        and ("gap_to_bulk" not in report or report["gap_to_bulk"] > 0)
+    )
 
 
 def _decode_ground(entries, layout, program, problem, optimum):
@@ -378,7 +385,7 @@ def _verify_problem(rc: RunConfig) -> int:
         report["ground_all_logical"]
         and report["anchors_excited"]
         and decode_ok
-        and _complete(band, masks, result)
+        and _clean_band(report, masks, result)
     )
     report["verified"] = verified
     reports.write_json(os.path.join(rc.out, "report.json"), report)

@@ -14,19 +14,19 @@ pairs of the atoms that move, bitwise equal to ``diagonal_energy``.  Its
 which returns each value with a bound on how far it may sit from the
 scalar call; root solvers trust a batched sign only outside that bound.
 
-Spectra are exact: no interaction tails are ever truncated.  Up to 20 atoms a
-vectorised full enumeration is used; larger layouts go through a spatial-block
-branch-and-bound whose bound is admissible (it drops only non-negative cross
-terms), so every configuration inside the requested window is found.  Its
-blocks are consecutive runs of a Cuthill–McKee sweep of the layout's
-nearest-neighbour graph, the order ``mwis`` branches along, so they stay
-compact on chains and on kite grids alike.  Its block tables are also cut by
-a single-flip rule: a block configuration goes when flipping one of its
-atoms lowers every completion of it by more than the window.  Such a state
-lies above the ground energy plus the window, and the ground state itself
-never loses energy to a flip, so the rule is exact.  The window's energies
-are rescored state by state in atom order, so they do not depend on how the
-atoms were cut into blocks.
+Spectra are exact: no interaction tails are ever truncated.  Every layout,
+from one atom up, goes through one spatial-block branch-and-bound whose
+bound is admissible (it drops only non-negative cross terms), so every
+configuration inside the requested window is found.  Its blocks are
+consecutive runs of a Cuthill–McKee sweep of the layout's nearest-neighbour
+graph, the order ``mwis`` branches along, so they stay compact on chains and
+on kite grids alike.  Its block tables are also cut by a single-flip rule: a
+block configuration goes when flipping one of its atoms lowers every
+completion of it by more than the window.  Such a state lies above the
+ground energy plus the window, and the ground state itself never loses
+energy to a flip, so the rule is exact.  The window's energies are rescored
+state by state in atom order, so they do not depend on how the atoms were
+cut into blocks.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ class SpectrumResult:
     """Sorted window of a spectrum.
 
     ``peak_table`` counts the most rows any block table or frontier of the
-    branch-and-bound held after pruning (``2**n_atoms`` on the dense path).
+    branch-and-bound held after pruning.
     """
 
     entries: list
@@ -282,30 +282,22 @@ def spectrum(
 ) -> SpectrumResult:
     """All configurations with energy in [E0, E0 + window], sorted.
 
-    Sorting is by (energy, mask), so output is fully deterministic.  For more
-    than 20 atoms the block branch-and-bound is used.  Its cutoff starts from
-    the lowest real state it knows: the empty pattern, the state its chain
-    messages decode to, and ``hint_configs`` (known low-lying masks, e.g. the
-    intended logical states).  The decoded state lies within a few
-    thousandths of a detuning of the ground state on the package's chains
-    and kite grids, so hints rarely change the work done there, and they
-    never change the result.
+    Sorting is by (energy, mask), so output is fully deterministic.  Every
+    layout goes through the block branch-and-bound; one of at most
+    ``_BLOCK_SIZE`` atoms is a single block, scored exhaustively and cut by
+    the single-flip rule.  The cutoff starts from the lowest real state
+    known: the empty pattern, the state the chain messages decode to, and
+    ``hint_configs`` (known low-lying masks, e.g. the intended logical
+    states).  The decoded state lies within a few thousandths of a detuning
+    of the ground state on the package's chains and kite grids, so hints
+    rarely change the work done there, and they never change the result.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
     if window < 0:
         raise ValidationError("window must be non-negative")
     det = np.broadcast_to(np.asarray(detunings, dtype=float), (n,)).astype(float)
-    if n <= 20:
-        energies = _dense_energies(pos, det, c6)
-        e0 = float(energies.min())
-        keep = np.nonzero(energies <= e0 + window + 1e-12)[0]
-        pairs = [(float(energies[m]), int(m)) for m in keep]
-        peak = 1 << n
-    else:
-        pairs, peak = _block_enumerate(
-            pos, det, c6, window, hint_configs, max_frontier
-        )
+    pairs, peak = _block_enumerate(pos, det, c6, window, hint_configs, max_frontier)
     pairs.sort(key=lambda t: (t[0], t[1]))
     truncated = cap is not None and len(pairs) > cap
     if truncated:
@@ -313,22 +305,6 @@ def spectrum(
     marks = set(int(m) for m in logical_masks)
     entries = [SpectrumEntry(e, m, m in marks) for e, m in pairs]
     return SpectrumResult(entries, truncated, window, n, peak)
-
-
-def _dense_energies(pos, det, c6):
-    n = len(pos)
-    v = pair_matrix(pos, c6)
-    total = 1 << n
-    out = np.empty(total)
-    cols = np.arange(n, dtype=np.uint32)
-    step = 1 << min(n, 16)
-    for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.uint32)
-        occ = ((masks[:, None] >> cols) & np.uint32(1)).astype(float)
-        out[start : start + len(masks)] = -(occ @ det) + 0.5 * np.einsum(
-            "ij,ij->i", occ @ v, occ
-        )
-    return out
 
 
 def _sweep_blocks(v):

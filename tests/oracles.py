@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 
+from rydcomp.programming import _PORT_SHARES, _TRANSFER, required_splitting
+
 
 def enumerate_independent_sets(g):
     """Yield every independent set of the unit-disk graph ``g`` exactly once."""
@@ -61,3 +63,68 @@ def matrix_energy(pair_energy, detunings, config: int) -> float:
         for b in range(a + 1, len(idx)):
             e += float(pe[idx[a], idx[b]])
     return e
+
+
+def chain_sum(instance, name, q) -> float:
+    """Signed pair sum of a probe atom at ``q`` over one chain.
+
+    ``+C6/r^6`` to each chain atom excited with value 1 (phase 0) and
+    ``-C6/r^6`` to each one excited with value 0: what the probe adds to the
+    value-1 states minus what it adds to the value-0 states, term by term.
+    """
+    ch = instance.chains[name]
+    c6 = instance.config.c6
+    out = 0.0
+    for a, ph in zip(ch.atoms, ch.phases):
+        d2 = float(((instance.positions[a] - np.asarray(q, dtype=float)) ** 2).sum())
+        out += (1.0 if ph == 0 else -1.0) * c6 / d2**3
+    return out
+
+
+def module_anchor_shift(instance, anchor_positions):
+    """Port-weight shift that absorbs anchor potentials on module interiors.
+
+    Anchors act on every atom, not only on their own chain.  On the atoms of
+    a module that belong to no chain their potential is state-dependent; it
+    is swept onto the module ports exactly like a slot deposit, with the
+    half-difference map ``programming._TRANSFER``.
+    """
+    shift = np.zeros(instance.n_atoms)
+    if not anchor_positions:
+        return shift
+    cfg = instance.config
+    qs = np.asarray(anchor_positions, dtype=float)
+    chain_atoms = set()
+    for ch in instance.chains.values():
+        chain_atoms.update(ch.atoms)
+    for kdx in instance.modules:
+        e = instance.elements[kdx]
+        pots = {}
+        for loc, a in enumerate(e.nodes):
+            if a in chain_atoms:
+                continue
+            d2 = ((qs - instance.positions[a]) ** 2).sum(axis=1)
+            pots[loc] = float((cfg.c6 / d2**3).sum())
+        phis = [
+            sum(pot for loc, pot in pots.items() if (st >> loc) & 1)
+            for st in e.gadget.logical_states
+        ]
+        deps = np.array([phis[1], phis[2], phis[3]]) - phis[0]
+        moved = _TRANSFER @ (deps / cfg.detuning)
+        for idx, shares in _PORT_SHARES[e.gadget.kind].items():
+            for port, frac in shares:
+                shift[e.nodes[e.gadget.ports[port]]] += moved[idx - 1] * frac
+    return shift
+
+
+def anchored_requirement(instance, w2, name, anchor_positions) -> float:
+    """What one chain still needs once other chains' anchors sit at the given sites.
+
+    The two channels priced separately: the module-interior potentials shift
+    the homogenised port weights (``module_anchor_shift``) and so the
+    chain's required splitting, and each anchor's direct pull on the chain
+    (``chain_sum``) comes off the result.
+    """
+    shifted = w2 + module_anchor_shift(instance, anchor_positions)
+    need = required_splitting(instance, shifted, name)
+    return need - sum(chain_sum(instance, name, q) for q in anchor_positions)

@@ -152,10 +152,11 @@ class TestVerify:
         assert report["anchors_excited"] and report["ground_all_logical"]
         printed = capsys.readouterr().out
         assert "verified" in printed
-        # five atoms (three plus two anchors) take the dense path: one table
-        # of every pattern, reported on stdout but not in report.json
+        # five atoms (three plus two anchors) make one block of 32 rows,
+        # which the single-flip rule cuts to 2; the size is reported on
+        # stdout but not in report.json
         assert report["n_atoms"] == 5
-        assert "largest block table: 32 rows" in printed.splitlines()
+        assert "largest block table: 2 rows" in printed.splitlines()
         assert "peak_table" not in report
         lines = (out / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "index,energy,excitation_over_unit,config,logical"
@@ -170,15 +171,32 @@ class TestVerify:
         assert report["verified"] and report["logical_band"]["count"] == 4
 
     def test_problem_route_decodes(self, tmp_path):
-        # the coupling puts one logical state 0.25 detunings up, above the
-        # default window; the window must hold the whole band to verify
+        # the coupling puts one logical state 0.1 detunings up, above the
+        # default window; the window must hold the whole band to verify, and
+        # the first bulk state in it lies 0.165 above the band
+        k2 = {"family": "K_2", "quadratic": [[0, 1, 0.1]]}
         code, out = run(
-            tmp_path, "verify", "--problem", problem_file(tmp_path, K2), "--window", "0.1"
+            tmp_path, "verify", "--problem", problem_file(tmp_path, k2), "--window", "0.1"
         )
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["verified"] and report["decode_consistent"]
+        assert report["gap_to_bulk"] > 0
         assert report["optimum"] == 0.0
+
+    def test_bulk_state_inside_band_fails(self, tmp_path, capsys):
+        # at coupling 0.25 the window holds the whole band, but a bulk state
+        # lies 0.09 below its top logical state: the band is not the ground band
+        code, out = run(
+            tmp_path, "verify", "--problem", problem_file(tmp_path, K2), "--window", "0.1"
+        )
+        assert code == 4
+        assert "VERIFICATION FAILED" in capsys.readouterr().out.splitlines()
+        report = json.loads((out / "report.json").read_text())
+        assert report["logical_band"]["count"] == 4
+        assert report["gap_to_bulk"] < 0
+        assert report["ground_all_logical"] and report["decode_consistent"]
+        assert not report["verified"]
 
     def test_incomplete_band_fails(self, tmp_path, capsys):
         # a window narrower than the band lists only 4 of the 8 logical states

@@ -275,6 +275,8 @@ class TestMaskHelpers:
 
 
 class TestSpectrumDense:
+    """Small layouts, whose every pattern fits the window, against brute force."""
+
     def test_full_enumeration_small(self):
         rng = np.random.default_rng(7)
         pos = rng.uniform(0, 4, size=(8, 2))
@@ -453,18 +455,20 @@ class TestSweepBlocks:
 
 
 class TestFlipPrune:
-    """Two blocks, one join: ``_block_enumerate`` against brute force.
+    """``_block_enumerate`` against brute force, from one atom to two blocks.
 
-    On a 0.8-spaced grid with c6 = 2 the diagonal neighbours couple at about
-    the detuning, so excited atoms often sit in a strong in-block field, and
-    an empty atom whose block neighbours are empty is often cheaper to add
+    ``spectrum`` takes every layout through this path, the smallest too:
+    up to ten atoms make one block, 11 to 16 make two and one join.  On a
+    0.8-spaced grid with c6 = 2 the diagonal neighbours couple at about the
+    detuning, so excited atoms often sit in a strong in-block field, and an
+    empty atom whose block neighbours are empty is often cheaper to add
     than the window: both single-flip rules cut rows.
     """
 
     @given(
         st.lists(
             st.tuples(st.integers(0, 7), st.integers(0, 4)),
-            min_size=12, max_size=16, unique=True,
+            min_size=1, max_size=16, unique=True,
         ),
         st.lists(st.floats(0.5, 1.1), min_size=16, max_size=16),
         st.floats(0.02, 1.0),
@@ -477,6 +481,7 @@ class TestFlipPrune:
         [0.6, 0.9, 1.1, 0.7, 1.0, 0.8, 0.9, 0.5] * 2,
         0.5,
     )
+    @example([(0, 0)], [0.7] * 16, 0.5)  # one atom: one block, no pair
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, sites, dets, window):
         pos = 0.8 * np.array(sites, dtype=float)

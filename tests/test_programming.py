@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import anchored_requirement, chain_sum
 
-from rydcomp import programming
+from rydcomp import cli, programming
 
 from rydcomp.assembly import assemble_layout, logical_subspace, lone_instance
 from rydcomp.errors import (
@@ -36,7 +37,6 @@ from rydcomp.programming import (
     _tail_pairs,
     balance_open_ports,
     build_global_layout,
-    chain_profile,
     displacement_shift,
     homogeneous_weights,
     homogenize,
@@ -531,17 +531,75 @@ class TestAnchors:
         assert pos[0] == pytest.approx(0.0, abs=1e-12)
         assert pos[1] == pytest.approx(dist, abs=1e-12)
 
-    def test_chain_profile_matches_signed_pair_sum(self):
-        inst = layout_instance("K_2")
-        name = inst.program.variables[0].name
+    def test_service_without_modules_is_the_chain_sum(self):
+        # K_1 compiles to one chain and no constraint, so no module: the
+        # service has no swept channel and is the signed chain sum alone
+        inst = layout_instance("K_1")
+        assert not inst.modules
+        (name,) = inst.chains
         ch = inst.chains[name]
-        prof = chain_profile(inst, name)
-        q = inst.positions[ch.atoms[0]] + np.array([0.0, 1.7])
-        expected = 0.0
-        for a, ph in zip(ch.atoms, ch.phases):
-            d2 = float(((inst.positions[a] - q) ** 2).sum())
-            expected += (1.0 if ph == 0 else -1.0) * inst.config.c6 / d2**3
-        assert prof(q) == pytest.approx(expected, rel=1e-12)
+        service = service_functional(inst, name)
+        for lift in (0.6, 1.7, 4.0):
+            q = inst.positions[ch.atoms[0]] + np.array([0.3, lift])
+            assert service(q) == pytest.approx(chain_sum(inst, name, q), rel=1e-12)
+
+    @given(
+        st.sampled_from(["K_{2,2}", "K_{2,3}"]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_requirement_matches_two_channel_oracle(self, tag, seed):
+        # plan_anchors prices the other chains' anchors through the chain's
+        # service functional; the oracle prices the module channel as a
+        # port-weight shift and the chain channel as a signed pair sum.
+        # _TRANSFER is symmetric, so the two agree in exact arithmetic.
+        inst = cached_instance(tag)
+        w2 = homogenize(inst, tail_compensate(inst))
+        cfg = inst.config
+        rng = np.random.default_rng(seed)
+        lo = inst.positions.min(axis=0) - 3.0
+        hi = inst.positions.max(axis=0) + 3.0
+        k, qs = int(rng.integers(1, 15)), []
+        while len(qs) < k:
+            q = rng.uniform(lo, hi)
+            if np.sqrt(((inst.positions - q) ** 2).sum(axis=1)).min() > 0.5:
+                qs.append(tuple(q.tolist()))
+        pot = sum(
+            float((cfg.c6 / ((inst.positions - q) ** 2).sum(axis=1) ** 3).sum())
+            for q in qs
+        )
+        n = inst.n_atoms * (len(qs) + 1)
+        for name, ch in inst.chains.items():
+            need = required_splitting(inst, w2, name)
+            need -= sum(service_functional(inst, name)(q) for q in qs)
+            want = anchored_requirement(inst, w2, name, qs)
+            # Rounding bound: either form adds at most n terms, each a
+            # weight deficit, the field or an anchor-atom pair energy times
+            # a factor of magnitude <= 4.5 (chain signs, swept module
+            # jumps); M is the unsigned sum of those.  Each sum lands within
+            # n*eps*4.5*M of the exact value, so the two forms within
+            # 9*n*eps*M of each other; the bound rounds that up to 10.
+            deficit = sum(abs(1.0 - w2[a]) for a in ch.atoms)
+            field = abs(inst.program.variable(name).field)
+            m = cfg.detuning * (deficit + field) + pot
+            assert abs(need - want) <= 10.0 * n * np.finfo(float).eps * m
+
+    @pytest.mark.parametrize(
+        "tag, seed",
+        [(f, None) for f in ("K_2", "K_{2,2}", "K_{2,3}", "K_{2,4}", "K_{2,5}")]
+        + [(f, s) for f in ("K_{2,2}", "K_{2,3}") for s in range(3)],
+    )
+    def test_plan_anchors_settles_in_few_sweeps(self, tag, seed, monkeypatch):
+        # the full-step Gauss-Seidel sweep settles in 3 to 6 sweeps on
+        # these; a cap of 8 leaves room for rounding drift and none for a
+        # slowly contracting sweep.  Couplings are uniform in +-0.3
+        # detunings, as endtoend draws them.
+        problem = parse_problem({"family": tag})
+        if seed is not None:
+            problem = cli._random_instance(problem, np.random.default_rng(seed), 0.3)
+        monkeypatch.setattr(programming, "_MAX_ROUNDS", 8)
+        lay = build_global_layout(decompose_all(compile_parity(problem)), CFG4)
+        assert lay.n_anchors > 0
 
     def test_required_splitting_is_field_when_uniform(self):
         inst = layout_instance("K_2", [[0, 1, 0.2]])
