@@ -11,6 +11,11 @@ Supported shapes (anything else raises :class:`GeometryError`):
   tied together by a vertical chain carrying the auxiliary variable, while
   the cut parities run horizontally through the kite rows.
 
+Each shape is a placement plan: it places its gadgets through the placer of
+:mod:`.gadgets`, fusing links onto module ports, and lists for each variable
+its link elements in walk order.  ``_chains`` derives every :class:`Chain`
+record from those walks and the placed elements.
+
 Atom positions depend only on the family, the sizes and the chain length —
 never on coupling values; couplings enter later through detuning offsets.
 All chains use an odd number of atoms so both ends of a chain carry the
@@ -25,30 +30,16 @@ assignments of the parity program.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryError, PipelineError, ValidationError
-from .gadgets import Gadget, make_gadget
+from .gadgets import Gadget, _Builder, _radial_tails, make_gadget
 from .mwis import solve_mwis, ud_graph
 from .parity import ParityProgram, violations
 from .physics import PhysicsConfig
-
-_MODULE_KINDS = {"kite", "three_body", "f3"}
-
-
-@dataclass(frozen=True, eq=False)
-class PlacedGadget:
-    kind: str
-    gadget: Gadget  # placed copy, positions in the global frame
-    nodes: tuple  # local index -> global atom id
-    ports: dict  # port name -> global atom id
-    role: dict
-
-    @property
-    def is_module(self) -> bool:
-        return self.kind in _MODULE_KINDS
 
 
 @dataclass(frozen=True)
@@ -106,62 +97,6 @@ class LogicalState:
     values: tuple  # physical parity bits, program variable order
 
 
-class _Builder:
-    def __init__(self, config):
-        self.config = config
-        self.pos = []
-        self.w = []
-        self.elements = []
-
-    def add(self, gadget: Gadget, role: dict, merge: dict | None = None) -> PlacedGadget:
-        merge = dict(merge or {})
-        rb = self.config.blockade_radius
-        n_before = len(self.pos)
-        nodes = [None] * gadget.n
-        for local, gid in merge.items():
-            drift = float(np.linalg.norm(gadget.positions[local] - self.pos[gid]))
-            if drift > 1e-9:
-                raise GeometryError(
-                    f"cannot fuse atom {local} of {gadget.kind} onto atom {gid}: "
-                    f"positions differ by {drift:.3g}"
-                )
-            nodes[local] = gid
-            self.w[gid] += float(gadget.weights[local])
-        fresh = [local for local in range(gadget.n) if nodes[local] is None]
-        if fresh and n_before:
-            # new atoms against every placed atom but the fused ones; the
-            # first clash in (local, gid) order is the one reported
-            diff = gadget.positions[fresh][:, None, :] - np.asarray(self.pos)[None, :, :]
-            clash = np.linalg.norm(diff, axis=2) < rb
-            clash[:, list(merge.values())] = False
-            rows, gids = np.nonzero(clash)
-            if len(rows):
-                raise GeometryError(
-                    f"{gadget.kind} atom {fresh[rows[0]]} clashes with existing atom "
-                    f"{gids[0]} (closer than the blockade radius)"
-                )
-        for local in fresh:
-            nodes[local] = len(self.pos)
-            self.pos.append(np.asarray(gadget.positions[local], dtype=float))
-            self.w.append(float(gadget.weights[local]))
-        placed = PlacedGadget(
-            gadget.kind,
-            gadget,
-            tuple(nodes),
-            {name: nodes[i] for name, i in gadget.ports.items()},
-            role,
-        )
-        self.elements.append(placed)
-        return placed
-
-    def finish(self) -> tuple:
-        return (
-            np.array(self.pos, dtype=float),
-            np.array(self.w, dtype=float),
-            tuple(self.elements),
-        )
-
-
 def lone_instance(gadget: Gadget, config: PhysicsConfig) -> MWISInstance:
     """One free-standing gadget as a one-element instance.
 
@@ -169,7 +104,7 @@ def lone_instance(gadget: Gadget, config: PhysicsConfig) -> MWISInstance:
     (``tail_compensate`` and ``homogenize``) take it.
     """
     b = _Builder(config)
-    b.add(gadget, {})
+    b.add(gadget)
     pos, w, elements = b.finish()
     return MWISInstance(None, config, pos, w, elements, {})
 
@@ -202,67 +137,63 @@ def assemble_layout(
     )
 
 
-def _link_chain_record(e: PlacedGadget, junction_first: bool, kdx):
-    """Chain along a single straight link element."""
-    n = len(e.nodes)
-    # phase 0 at every junction; odd length keeps open ends at phase 0 too
-    if junction_first:
-        phases = tuple(i % 2 for i in range(n))
-    else:
-        phases = tuple((n - 1 - i) % 2 for i in range(n))
-    return list(e.nodes), list(phases), [kdx]
+def _chains(elements, walks) -> dict:
+    """One :class:`Chain` per variable from the link elements it walks through.
+
+    ``walks`` maps each variable to the indices of its link elements in
+    walk order.  An atom's phase is its index along its link modulo 2, so
+    with odd links every link end sits at phase 0.  The chain's ports are
+    its atoms that belong to a module element; its open ends are the ends
+    of its links that no other element shares.
+    """
+    module_atoms = {a for e in elements if e.is_module for a in e.nodes}
+    uses = Counter(a for e in elements for a in e.nodes)
+    chains = {}
+    for name, walk in walks.items():
+        phase = {}
+        open_ends = []
+        for kdx in walk:
+            e = elements[kdx]
+            for i, a in enumerate(e.nodes):
+                phase.setdefault(a, i % 2)
+            open_ends += [
+                (a, e.gadget.port_axes[port])
+                for port, a in e.ports.items()
+                if uses[a] == 1
+            ]
+        chains[name] = Chain(
+            name,
+            tuple(phase),
+            tuple(phase.values()),
+            tuple(a for a in phase if a in module_atoms),
+            tuple(open_ends),
+            tuple(walk),
+        )
+    return chains
 
 
 def _parallel_chains(program, config, L):
     b = _Builder(config)
     link = make_gadget("link", config=config, length=L)
-    chains = {}
-    for k, v in enumerate(program.variables):
-        e = b.add(link.placed(translation=(0.0, 4.0 * k)), {"variable": v.name})
-        chains[v.name] = Chain(
-            v.name,
-            e.nodes,
-            tuple(i % 2 for i in range(L)),
-            (),
-            ((e.ports["p0"], e.gadget.port_axes["p0"]),
-             (e.ports["p1"], e.gadget.port_axes["p1"])),
-            (len(b.elements) - 1,),
-        )
+    for k in range(len(program.variables)):
+        b.add(link.placed(translation=(0.0, 4.0 * k)))
     pos, w, elements = b.finish()
-    return MWISInstance(program, config, pos, w, elements, chains)
+    walks = {v.name: [k] for k, v in enumerate(program.variables)}
+    return MWISInstance(program, config, pos, w, elements, _chains(elements, walks))
 
 
 def _single_triangle(program, config, L):
     b = _Builder(config)
-    core = make_gadget("three_body", config=config)
-    placed_core = b.add(core, {"constraint": 0})
-    members = program.constraints[0].members
-    chains = {}
-    for port, name in zip(("a", "b", "c"), members):
-        axis = np.asarray(core.port_axes[port])
-        angle = math.atan2(axis[1], axis[0])
-        corner = core.positions[core.ports[port]]
-        link = make_gadget("link", config=config, length=L)
-        e = b.add(
-            link.placed(rotation=angle, translation=tuple(corner)),
-            {"variable": name},
-            merge={0: placed_core.ports[port]},
-        )
-        chains[name] = Chain(
-            name,
-            e.nodes,
-            tuple(i % 2 for i in range(L)),
-            (placed_core.ports[port],),
-            ((e.ports["p1"], e.gadget.port_axes["p1"]),),
-            (len(b.elements) - 1,),
-        )
+    core = b.add(make_gadget("three_body", config=config))
+    _radial_tails(b, core, make_gadget("link", config=config, length=L))
     pos, w, elements = b.finish()
-    return MWISInstance(program, config, pos, w, elements, chains)
+    # element 0 is the core; the tail on port a, b, c follows it
+    walks = {name: [k + 1] for k, name in enumerate(program.constraints[0].members)}
+    return MWISInstance(program, config, pos, w, elements, _chains(elements, walks))
 
 
 def _kite_grid(program, config, L):
-    problem = program.problem
-    m = problem.m
+    m = program.problem.m
     pitch = float(L + 1)
     r3 = math.sqrt(3.0)
     y_bot = -(L - 1) - 2.0 * r3
@@ -270,99 +201,41 @@ def _kite_grid(program, config, L):
     b = _Builder(config)
     kite = make_gadget("kite", config=config)
     link = make_gadget("link", config=config, length=L)
+    top = [b.add(kite.placed(translation=(pitch * j, 0.0))) for j in range(m - 1)]
+    bot = [b.add(kite.placed(translation=(pitch * j, y_bot))) for j in range(m - 1)]
+    walks = {}
 
-    top = [
-        b.add(kite.placed(translation=(pitch * j, 0.0)), {"row": 0, "plaquette": j})
-        for j in range(m - 1)
-    ]
-    bot = [
-        b.add(kite.placed(translation=(pitch * j, y_bot)), {"row": 1, "plaquette": j})
-        for j in range(m - 1)
-    ]
-
-    chains = {}
-
-    def horizontal_row(i, kites, y):
+    # the cut parities run left to right; each link fuses onto the r port of
+    # the kite before it and the q port of the kite after it, where there is one
+    for i, (kites, y) in enumerate(((top, 0.0), (bot, y_bot))):
         for j in range(m):
-            name = ("p", i, j)
-            if j == 0:
-                e = b.add(
-                    link.placed(translation=(-float(L), y)),
-                    {"variable": name},
-                    merge={L - 1: kites[0].ports["q"]},
-                )
-                atoms, phases, els = _link_chain_record(e, False, len(b.elements) - 1)
-                ports = (kites[0].ports["q"],)
-                open_ends = ((e.ports["p0"], e.gadget.port_axes["p0"]),)
-            elif j == m - 1:
-                e = b.add(
-                    link.placed(translation=(pitch * (m - 2) + 1.0, y)),
-                    {"variable": name},
-                    merge={0: kites[m - 2].ports["r"]},
-                )
-                atoms, phases, els = _link_chain_record(e, True, len(b.elements) - 1)
-                ports = (kites[m - 2].ports["r"],)
-                open_ends = ((e.ports["p1"], e.gadget.port_axes["p1"]),)
-            else:
-                e = b.add(
-                    link.placed(translation=(pitch * (j - 1) + 1.0, y)),
-                    {"variable": name},
-                    merge={0: kites[j - 1].ports["r"], L - 1: kites[j].ports["q"]},
-                )
-                atoms, phases, els = _link_chain_record(e, True, len(b.elements) - 1)
-                ports = (kites[j - 1].ports["r"], kites[j].ports["q"])
-                open_ends = ()
-            chains[name] = Chain(
-                name, tuple(atoms), tuple(phases), ports, open_ends, tuple(els)
-            )
-
-    horizontal_row(0, top, 0.0)
-    horizontal_row(1, bot, y_bot)
+            merge = {}
+            if j > 0:
+                merge[0] = kites[j - 1].ports["r"]
+            if j < m - 1:
+                merge[L - 1] = kites[j].ports["q"]
+            x = -float(L) if j == 0 else pitch * (j - 1) + 1.0
+            b.add(link.placed(translation=(x, y)), merge=merge)
+            walks[("p", i, j)] = [len(b.elements) - 1]
 
     for j in range(m - 1):
-        name = ("aux", j)
-        vert = b.add(
+        k = len(b.elements)
+        b.add(
             link.placed(rotation=-math.pi / 2, translation=(pitch * j, -r3)),
-            {"variable": name, "segment": "column"},
             merge={0: top[j].ports["s"], L - 1: bot[j].ports["p"]},
         )
-        stub_up = b.add(
+        b.add(
             link.placed(rotation=math.pi / 2, translation=(pitch * j, r3)),
-            {"variable": name, "segment": "stub_up"},
             merge={0: top[j].ports["p"]},
         )
-        stub_dn = b.add(
+        b.add(
             link.placed(rotation=-math.pi / 2, translation=(pitch * j, y_bot - r3)),
-            {"variable": name, "segment": "stub_down"},
             merge={0: bot[j].ports["s"]},
         )
-        atoms = []
-        phases = []
-        for e in (stub_up, vert, stub_dn):
-            for i, gid in enumerate(e.nodes):
-                if gid in atoms:
-                    continue
-                atoms.append(gid)
-                phases.append(i % 2)
-        chains[name] = Chain(
-            name,
-            tuple(atoms),
-            tuple(phases),
-            (
-                top[j].ports["p"],
-                top[j].ports["s"],
-                bot[j].ports["p"],
-                bot[j].ports["s"],
-            ),
-            (
-                (stub_up.ports["p1"], stub_up.gadget.port_axes["p1"]),
-                (stub_dn.ports["p1"], stub_dn.gadget.port_axes["p1"]),
-            ),
-            (len(b.elements) - 2, len(b.elements) - 3, len(b.elements) - 1),
-        )
+        walks[("aux", j)] = [k + 1, k, k + 2]  # up stub, column, down stub
 
     pos, w, elements = b.finish()
-    return MWISInstance(program, config, pos, w, elements, chains)
+    return MWISInstance(program, config, pos, w, elements, _chains(elements, walks))
 
 
 def _read_rows(instance: MWISInstance, masks):
@@ -389,15 +262,6 @@ def _read_rows(instance: MWISInstance, masks):
             name = names[int(wrong.argmax())]
             raise PipelineError("read", f"chain of {name} is inconsistent in state {mask:#x}")
         yield tuple(row)
-
-
-def read_values(instance: MWISInstance, mask: int) -> tuple:
-    """Parity-variable values carried by one excitation pattern.
-
-    Every atom of a chain must agree on the variable's value; disagreement
-    means the pattern is not logical and is reported as a pipeline error.
-    """
-    return next(_read_rows(instance, [mask]))
 
 
 def logical_subspace(instance: MWISInstance) -> tuple:

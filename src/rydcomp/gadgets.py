@@ -1,4 +1,4 @@
-"""Catalogue of unit-disk MWIS gadgets and their amalgamation.
+"""Catalogue of unit-disk MWIS gadgets and the placer that fuses them.
 
 Distances are in units of the lattice spacing and weights in units of the
 global detuning.  Every gadget records:
@@ -25,15 +25,20 @@ The catalogue:
                 passing p straight through — the workhorse for grids.
 ``fork``        an inverting one-to-two fan-out: trunk port plus two branch
                 tines at 45 degrees.
-``f3``          three_body with a length-3 link amalgamated radially onto
-                each corner, giving the same constraint with well separated
+``f3``          three_body with a length-3 link fused radially onto each
+                corner, giving the same constraint with well separated
                 ports.
+
+``_Builder`` places gadgets one by one in a global frame, fusing each new
+gadget onto atoms already placed at shared ports (weights add there) and
+refusing any other pair closer than the blockade radius.  ``f3`` and every
+assembled layout are built with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +49,8 @@ from .physics import PhysicsConfig
 KINDS = ("link", "three_body", "kite", "fork", "f3")
 
 _EXPECTED_STATES = {"link": 2, "three_body": 4, "kite": 4, "fork": 2, "f3": 4}
+
+_MODULE_KINDS = {"kite", "three_body", "f3"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +63,10 @@ class Gadget:
     logical_states: tuple  # masks; [0] is the reference state
     comp_slots: dict  # state index -> tuple of slot node indices
     graph: object
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    def port_bits(self, state_index: int):
-        """Excitation of each port (in port order) in one logical state."""
-        m = self.logical_states[state_index]
-        return tuple((m >> i) & 1 for i in self.ports.values())
 
     def placed(self, rotation: float = 0.0, translation=(0.0, 0.0)) -> "Gadget":
         """Rigidly transformed copy (same node order, states, weights)."""
@@ -82,7 +83,6 @@ class Gadget:
             self.logical_states,
             dict(self.comp_slots),
             self.graph,
-            dict(self.meta),
         )
 
 
@@ -109,24 +109,20 @@ def _slots(states, port_nodes, n):
     return out
 
 
-def _finish(kind, pos, w, ports, axes, config, meta=None, expected=None):
+def _finish(kind, pos, w, ports, axes, config):
     pos = np.asarray(pos, dtype=float)
     w = np.asarray(w, dtype=float)
     g = ud_graph(pos, config.blockade_radius)
     sol = solve_mwis(g, w)
     states = _order_states(sol.masks, list(ports.values()))
-    expected = expected if expected is not None else _EXPECTED_STATES.get(kind)
-    if expected is not None and len(states) != expected:
+    expected = _EXPECTED_STATES[kind]
+    if len(states) != expected:
         raise GeometryError(
             f"{kind}: got {len(states)} degenerate maximisers, expected "
             f"{expected}; geometry is invalid at ratio {config.interaction_ratio}"
         )
-    if len(states) < 2:
-        raise GeometryError(
-            f"{kind}: the maximiser is unique; a gadget must stay degenerate"
-        )
     slots = _slots(states, list(ports.values()), len(w))
-    return Gadget(kind, pos, w, ports, axes, states, slots, g, meta or {})
+    return Gadget(kind, pos, w, ports, axes, states, slots, g)
 
 
 def _make_link(length, config):
@@ -136,7 +132,7 @@ def _make_link(length, config):
     w = [1.0] + [2.0] * (length - 2) + [1.0]
     ports = {"p0": 0, "p1": length - 1}
     axes = {"p0": (-1.0, 0.0), "p1": (1.0, 0.0)}
-    return _finish("link", pos, w, ports, axes, config, meta={"length": length})
+    return _finish("link", pos, w, ports, axes, config)
 
 
 def _make_three_body(config):
@@ -194,24 +190,13 @@ def _make_fork(config):
 
 
 def _make_f3(config):
-    core = _make_three_body(config)
-    out = core
-    for name in ("a", "b", "c"):
-        axis = np.asarray(core.port_axes[name])
-        angle = math.atan2(axis[1], axis[0])
-        corner = core.positions[core.ports[name]]
-        tail = _make_link(3, config).placed(rotation=angle, translation=corner)
-        out = amalgamate(out, name, tail, "p0", config)
-    # re-tag: the three remaining link ends are the gadget's ports a/b/c
-    ports = {"a": out.ports["p1"], "b": out.ports["p1_2"], "c": out.ports["p1_3"]}
-    axes = {
-        "a": out.port_axes["p1"],
-        "b": out.port_axes["p1_2"],
-        "c": out.port_axes["p1_3"],
-    }
-    return _finish(
-        "f3", out.positions, out.weights, ports, axes, config, meta={"tail": 3}
-    )
+    b = _Builder(config)
+    core = b.add(_make_three_body(config))
+    tails = _radial_tails(b, core, _make_link(3, config))
+    pos, w, _ = b.finish()
+    ports = {name: tail.ports["p1"] for name, tail in zip(core.ports, tails)}
+    axes = {name: tail.gadget.port_axes["p1"] for name, tail in zip(core.ports, tails)}
+    return _finish("f3", pos, w, ports, axes, config)
 
 
 def make_gadget(kind: str, *, config: PhysicsConfig, length: int | None = None) -> Gadget:
@@ -233,54 +218,80 @@ def make_gadget(kind: str, *, config: PhysicsConfig, length: int | None = None) 
     raise ValidationError(f"unknown gadget kind {kind!r}; catalogue: {KINDS}")
 
 
-def amalgamate(g1: Gadget, p1: str, g2: Gadget, p2: str, config: PhysicsConfig) -> Gadget:
-    """Contract port ``p1`` of ``g1`` with port ``p2`` of ``g2``.
+@dataclass(frozen=True, eq=False)
+class PlacedGadget:
+    kind: str
+    gadget: Gadget  # placed copy, positions in the global frame
+    nodes: tuple  # local index -> global atom id
+    ports: dict  # port name -> global atom id
 
-    The caller must already have placed ``g2`` so the two port atoms
-    coincide; weights at the contracted atom add.  Any other cross pair
-    closer than the blockade radius is a clash.  Logical states of the
-    merged gadget are re-solved from scratch.
-    """
-    if p1 not in g1.ports or p2 not in g2.ports:
-        raise ValidationError(f"no such port: {p1!r} / {p2!r}")
-    n1 = g1.n
-    i1 = g1.ports[p1]
-    i2 = g2.ports[p2]
-    if np.linalg.norm(g1.positions[i1] - g2.positions[i2]) > 1e-9:
-        raise GeometryError(
-            f"ports {p1!r} and {p2!r} do not coincide; place g2 first"
-        )
-    rb = config.blockade_radius
-    for i in range(n1):
-        for j in range(g2.n):
-            if j == i2 or i == i1:
-                continue
-            if np.linalg.norm(g1.positions[i] - g2.positions[j]) < rb:
+    @property
+    def is_module(self) -> bool:
+        return self.kind in _MODULE_KINDS
+
+
+class _Builder:
+    def __init__(self, config):
+        self.config = config
+        self.pos = []
+        self.w = []
+        self.elements = []
+
+    def add(self, gadget: Gadget, merge: dict | None = None) -> PlacedGadget:
+        """Place ``gadget`` as it stands, fusing local atom ``l`` onto atom ``merge[l]``."""
+        merge = dict(merge or {})
+        rb = self.config.blockade_radius
+        n_before = len(self.pos)
+        nodes = [None] * gadget.n
+        for local, gid in merge.items():
+            drift = float(np.linalg.norm(gadget.positions[local] - self.pos[gid]))
+            if drift > 1e-9:
                 raise GeometryError(
-                    f"amalgamation clash: atoms {i} and +{j} closer than the "
-                    "blockade radius"
+                    f"cannot fuse atom {local} of {gadget.kind} onto atom {gid}: "
+                    f"positions differ by {drift:.3g}"
                 )
-    keep2 = [j for j in range(g2.n) if j != i2]
-    remap = {j: n1 + k for k, j in enumerate(keep2)}
-    remap[i2] = i1
-    pos = np.vstack([g1.positions, g2.positions[keep2]])
-    w = np.concatenate([g1.weights, g2.weights[keep2]])
-    w[i1] = g1.weights[i1] + g2.weights[i2]
-    ports = {k: v for k, v in g1.ports.items() if k != p1}
-    axes = {k: g1.port_axes[k] for k in ports}
-    for k, v in g2.ports.items():
-        if k == p2:
-            continue
-        name = k
-        while name in ports:
-            suffix = name.rsplit("_", 1)
-            bump = (
-                f"{suffix[0]}_{int(suffix[1]) + 1}"
-                if len(suffix) == 2 and suffix[1].isdigit()
-                else f"{name}_2"
-            )
-            name = bump
-        ports[name] = remap[v]
-        axes[name] = g2.port_axes[k]
-    kind = f"amalgam({g1.kind}+{g2.kind})"
-    return _finish(kind, pos, w, ports, axes, config)
+            nodes[local] = gid
+            self.w[gid] += float(gadget.weights[local])
+        fresh = [local for local in range(gadget.n) if nodes[local] is None]
+        if fresh and n_before:
+            # new atoms against every placed atom but the fused ones; the
+            # first clash in (local, gid) order is the one reported
+            diff = gadget.positions[fresh][:, None, :] - np.asarray(self.pos)[None, :, :]
+            clash = np.linalg.norm(diff, axis=2) < rb
+            clash[:, list(merge.values())] = False
+            rows, gids = np.nonzero(clash)
+            if len(rows):
+                raise GeometryError(
+                    f"{gadget.kind} atom {fresh[rows[0]]} clashes with existing atom "
+                    f"{gids[0]} (closer than the blockade radius)"
+                )
+        for local in fresh:
+            nodes[local] = len(self.pos)
+            self.pos.append(np.asarray(gadget.positions[local], dtype=float))
+            self.w.append(float(gadget.weights[local]))
+        placed = PlacedGadget(
+            gadget.kind,
+            gadget,
+            tuple(nodes),
+            {name: nodes[i] for name, i in gadget.ports.items()},
+        )
+        self.elements.append(placed)
+        return placed
+
+    def finish(self) -> tuple:
+        return (
+            np.array(self.pos, dtype=float),
+            np.array(self.w, dtype=float),
+            tuple(self.elements),
+        )
+
+
+def _radial_tails(b: _Builder, core: PlacedGadget, link: Gadget) -> list:
+    """Fuse a copy of ``link`` by its ``p0`` onto each port of ``core``, pointing outward."""
+    tails = []
+    for name, gid in core.ports.items():
+        ux, uy = core.gadget.port_axes[name]
+        corner = core.gadget.positions[core.gadget.ports[name]]
+        tail = link.placed(rotation=math.atan2(uy, ux), translation=corner)
+        tails.append(b.add(tail, merge={0: gid}))
+    return tails

@@ -23,6 +23,12 @@ def enumerate_independent_sets(g):
     yield from rec(0, 0, 0)
 
 
+def port_bits(gadget, state_index: int) -> tuple:
+    """Excitation of each port, in port order, in one logical state of ``gadget``."""
+    mask = gadget.logical_states[state_index]
+    return tuple((mask >> i) & 1 for i in gadget.ports.values())
+
+
 def step_energy(g, detunings, coupling, config: int) -> float:
     """Energy under the step-potential model: -sum detunings + coupling/edge.
 

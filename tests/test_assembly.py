@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rydcomp.assembly import _Builder, assemble_layout, logical_subspace, read_values
+from rydcomp.assembly import _read_rows, assemble_layout, logical_subspace
 from rydcomp.errors import GeometryError, PipelineError, ValidationError
-from rydcomp.gadgets import make_gadget
+from rydcomp.gadgets import _Builder, make_gadget
 from rydcomp.mwis import solve_mwis
 from rydcomp.parity import compile_parity, decode, decompose_all, parity_energy
 from rydcomp.physics import PhysicsConfig
@@ -27,10 +27,10 @@ class TestBuilder:
     def two_links(self):
         link = make_gadget("link", config=CFG, length=5)  # atoms at x = 0..4
         b = _Builder(CFG)
-        b.add(link, {})
+        b.add(link)
         # fused end to end: the new atom next to the fused one sits a
         # spacing from it, which only the fusion excuses
-        b.add(link.placed(translation=(4.0, 0.0)), {}, merge={0: 4})
+        b.add(link.placed(translation=(4.0, 0.0)), merge={0: 4})
         return b, link
 
     def test_fused_atom_is_not_a_clash(self):
@@ -44,7 +44,7 @@ class TestBuilder:
         # with atom 6, its atom 2 at (6, 0) with atoms 5, 6 and 7
         upright = link.placed(rotation=np.pi / 2, translation=(6.0, -2.0))
         with pytest.raises(GeometryError, match="link atom 1 clashes with existing atom 6 "):
-            b.add(upright, {})
+            b.add(upright)
 
 
 class TestKiteGrid:
@@ -77,12 +77,34 @@ class TestKiteGrid:
         assert len(aux.atoms) == 15
         assert len(aux.ports) == 4
         assert len(aux.open_ends) == 2
-        # ports and open ends carry phase 0: value == excitation there
-        for chain in inst.chains.values():
-            for a in chain.ports:
-                assert chain.phases[chain.atoms.index(a)] == 0
-            for a, _axis in chain.open_ends:
-                assert chain.phases[chain.atoms.index(a)] == 0
+
+    def test_chain_records(self):
+        # required_splitting sums along the walk and the anchor solver ranks
+        # sites by their index on it, so the order is part of the output
+        inst = instance("K_{2,3}")
+        alt = (0, 1, 0, 1, 0)
+        expected = {
+            ("p", 0, 0): ((36, 37, 38, 39, 1), alt, (1,), (36,), (4,)),
+            ("p", 0, 1): ((2, 40, 41, 42, 10), alt, (2, 10), (), (5,)),
+            ("p", 0, 2): ((11, 43, 44, 45, 46), alt, (11,), (46,), (6,)),
+            ("p", 1, 0): ((47, 48, 49, 50, 19), alt, (19,), (47,), (7,)),
+            ("p", 1, 1): ((20, 51, 52, 53, 28), alt, (20, 28), (), (8,)),
+            ("p", 1, 2): ((29, 54, 55, 56, 57), alt, (29,), (57,), (9,)),
+            ("aux", 0): (
+                (0, 61, 62, 63, 64, 3, 58, 59, 60, 18, 21, 65, 66, 67, 68),
+                alt * 3, (0, 3, 18, 21), (64, 68), (11, 10, 12),
+            ),
+            ("aux", 1): (
+                (9, 72, 73, 74, 75, 12, 69, 70, 71, 27, 30, 76, 77, 78, 79),
+                alt * 3, (9, 12, 27, 30), (75, 79), (14, 13, 15),
+            ),
+        }
+        got = {
+            name: (ch.atoms, ch.phases, ch.ports, tuple(a for a, _ in ch.open_ends), ch.elements)
+            for name, ch in inst.chains.items()
+        }
+        assert got == expected
+        assert list(got) == list(expected)
 
     def test_positions_do_not_depend_on_couplings(self):
         bare = instance("K_{2,3}")
@@ -136,6 +158,38 @@ class TestKiteGrid:
         assert peaks[0] <= peaks[1]
 
 
+@pytest.mark.parametrize("link_length", [3, 5, 7])
+@pytest.mark.parametrize(
+    "tag", ["K_1", "K_2", "K_{2,2}", "K_{2,3}", "K_{2,4}", "K_{2,5}", "K_{2,6}"]
+)
+def test_chains_follow_their_links(tag, link_length):
+    inst = instance(tag, link_length=link_length)
+    module_atoms = {a for e in inst.elements if e.kind != "link" for a in e.nodes}
+    for chain in inst.chains.values():
+        links = [inst.elements[k] for k in chain.elements]
+        assert all(e.kind == "link" for e in links)
+        assert sorted(chain.atoms) == sorted({a for e in links for a in e.nodes})
+        phase = dict(zip(chain.atoms, chain.phases))
+        assert chain.ports == tuple(a for a in chain.atoms if a in module_atoms)
+        lone_ends = {
+            e.ports[p]
+            for e in links
+            for p in ("p0", "p1")
+            if sum(e.ports[p] in f.nodes for f in inst.elements) == 1
+        }
+        assert {a for a, _ in chain.open_ends} == lone_ends
+        for a, axis in chain.open_ends:
+            # the axis points out of the chain, away from the end's one neighbour
+            step = inst.positions[a] - inst.positions[list(chain.atoms)]
+            dist = np.linalg.norm(step, axis=1)
+            inner = np.nonzero((dist > 0) & (dist < 1.5))[0]
+            assert len(inner) == 1
+            np.testing.assert_allclose(step[inner[0]], axis, atol=1e-12)
+        # value == excitation wherever a chain meets a module or free space
+        assert all(phase[a] == 0 for a in chain.ports)
+        assert all(phase[a] == 0 for a, _ in chain.open_ends)
+
+
 class TestSingleTriangle:
     def test_inventory_and_subspace(self):
         inst = instance("K_2", [[0, 1, 1.0]], link_length=3)
@@ -170,12 +224,12 @@ class TestReadValues:
         inst = instance("K_1")
         chain = inst.chains[("s", 0)]
         with pytest.raises(PipelineError, match="inconsistent"):
-            read_values(inst, 1 << chain.atoms[0])
+            next(_read_rows(inst, [1 << chain.atoms[0]]))
 
     def test_logical_patterns_read_cleanly(self):
         inst = instance("K_2", [[0, 1, -0.5]], link_length=3)
         for s in logical_subspace(inst):
-            assert read_values(inst, s.mask) == s.values
+            assert next(_read_rows(inst, [s.mask])) == s.values
 
 
 class TestScope:

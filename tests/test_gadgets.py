@@ -1,4 +1,4 @@
-"""Catalogue gadgets: frozen geometry facts, solved states, amalgamation.
+"""Catalogue gadgets: frozen geometry facts, solved states, fusing by the placer.
 
 The expected logical-state masks below were derived by hand from each
 geometry (alternating patterns on chains, corner/midpoint patterns on the
@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydcomp.errors import GeometryError, ValidationError
-from rydcomp.gadgets import amalgamate, make_gadget
+from rydcomp.gadgets import _Builder, make_gadget
 from rydcomp.mwis import ud_graph
 from rydcomp.physics import PhysicsConfig
 
-from oracles import step_energy
+from oracles import port_bits, step_energy
 
 CFG = PhysicsConfig(interaction_ratio=3.0)
 
@@ -158,7 +158,7 @@ def test_kite_enforces_odd_parity_with_passthrough():
     g = build("kite")
     seen = set()
     for k in range(4):
-        p, q, r, s = g.port_bits(k)
+        p, q, r, s = port_bits(g, k)
         assert p ^ q ^ r == 1
         assert s == p
         seen.add((p, q, r))
@@ -167,7 +167,7 @@ def test_kite_enforces_odd_parity_with_passthrough():
 
 def test_three_body_port_patterns():
     g = build("three_body")
-    assert [g.port_bits(k) for k in range(4)] == [
+    assert [port_bits(g, k) for k in range(4)] == [
         (1, 1, 1),
         (1, 0, 0),
         (0, 1, 0),
@@ -177,14 +177,14 @@ def test_three_body_port_patterns():
 
 def test_fork_is_inverting():
     g = build("fork")
-    assert g.port_bits(0) == (0, 1, 1)  # branch ends on, trunk off
-    assert g.port_bits(1) == (1, 0, 0)
+    assert port_bits(g, 0) == (0, 1, 1)  # branch ends on, trunk off
+    assert port_bits(g, 1) == (1, 0, 0)
 
 
 def test_even_link_ports_are_opposite_phase():
     g = build("link", 2)
     assert g.logical_states == (0b01, 0b10)
-    assert [g.port_bits(k) for k in range(2)] == [(1, 0), (0, 1)]
+    assert [port_bits(g, k) for k in range(2)] == [(1, 0), (0, 1)]
 
 
 @given(
@@ -206,40 +206,36 @@ def test_rigid_motion_preserves_structure(angle, tx, ty):
 
 
 class TestAmalgamation:
+    """Two copies of a link fused end to end by the placer.
+
+    The second copy is shifted by ``shift`` so its p0 sits on the first's p1.
+    """
+
+    def fuse(self, link, shift):
+        placer = _Builder(CFG)
+        placer.add(link)
+        placer.add(link.placed(translation=(shift, 0.0)), merge={0: link.ports["p1"]})
+        pos, w, _ = placer.finish()
+        return pos, w
+
     def test_two_short_links_make_a_three_chain(self):
-        a = build("link", 2)
-        b = a.placed(translation=(1.0, 0.0))
-        g = amalgamate(a, "p1", b, "p0", CFG)
-        assert list(g.weights) == [1, 2, 1]
-        assert np.allclose(g.positions, [(0, 0), (1, 0), (2, 0)])
-        assert g.logical_states == (0b101, 0b010)
+        pos, w = self.fuse(build("link", 2), 1.0)
+        ref = build("link", 3)
+        np.testing.assert_array_equal(pos, ref.positions)
+        np.testing.assert_array_equal(w, ref.weights)
 
     def test_link3_pair_equals_link5(self):
-        a = build("link", 3)
-        b = a.placed(translation=(2.0, 0.0))
-        g = amalgamate(a, "p1", b, "p0", CFG)
+        pos, w = self.fuse(build("link", 3), 2.0)
         ref = build("link", 5)
-        assert np.allclose(g.positions, ref.positions)
-        assert list(g.weights) == list(ref.weights)
-        assert g.logical_states == ref.logical_states
-        assert g.ports == ref.ports
+        np.testing.assert_array_equal(pos, ref.positions)
+        # the fused atom carries both end weights: 1 + 1
+        np.testing.assert_array_equal(w, ref.weights)
+        assert w[2] == 2.0
 
     def test_ports_must_coincide(self):
-        a = build("link", 3)
-        b = a.placed(translation=(2.5, 0.0))
-        with pytest.raises(GeometryError, match="coincide"):
-            amalgamate(a, "p1", b, "p0", CFG)
-
-    def test_overlapping_bodies_clash(self):
-        a = build("link", 3)
-        b = a.placed(rotation=math.pi, translation=(2.0, 0.0))
-        with pytest.raises(GeometryError, match="clash"):
-            amalgamate(a, "p1", b, "p0", CFG)
-
-    def test_unknown_port(self):
-        a = build("link", 3)
-        with pytest.raises(ValidationError, match="port"):
-            amalgamate(a, "nope", a, "p0", CFG)
+        refusal = r"cannot fuse atom 0 of link onto atom 2: positions differ by 0\.5"
+        with pytest.raises(GeometryError, match=refusal):
+            self.fuse(build("link", 3), 2.5)
 
 
 class TestValidation:
