@@ -9,9 +9,9 @@ Four subcommands cover the pipeline end to end:
     layout, spectrum CSV and a verification report (logical band, gap,
     anchors-excited and decode-consistency checks).
 ``sweep``
-    move one programming handle (anchor height ``dy`` or atom displacement
-    ``dx``) across a range and emit the exact response curve next to its
-    first- and second-order models, as CSV.
+    move the one programming handle, the anchor height ``dy``, across a range
+    and emit the exact response curve next to its first- and second-order
+    models, as CSV.
 ``endtoend``
     repeated randomized instances: compile, enumerate exact ground states,
     decode, compare with the brute-force optimum; mismatches are reported in
@@ -38,7 +38,7 @@ from .gadgets import KINDS, make_gadget
 from .parity import compile_parity, decode, decompose_all
 from .physics import PhysicsConfig, diagonal_energy, mask_of, moving_energy, spectrum
 from .problems import brute_force_optimum, evaluate, load_problem, parse_problem
-from .programming import balance_open_ports, build_global_layout, displacement_shift, solve_bracketed
+from .programming import balance_open_ports, build_global_layout, solve_bracketed
 
 OUT_ENV = "RYDCOMP_OUT"
 
@@ -47,7 +47,9 @@ OUT_ENV = "RYDCOMP_OUT"
 _GADGET_RATIO = {"kite": 1.5}
 _DEFAULT_GADGET_RATIO = 3.0
 _ASSEMBLY_RATIO = 4.0
-_SWEEP_RANGES = {"dy": (-0.2, 0.5), "dx": (-0.2, 0.2)}
+_SWEEP_RANGE = (-0.2, 0.5)  # anchor height offsets, in lattice spacings
+# end anchors of the sweep testbed, in spacings beyond the link ends
+_END_DISTANCE = 1.45
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,7 @@ class RunConfig:
     cap: int
     out: str
     seed: int
-    param: str | None
-    sweep_range: tuple | None
+    sweep_range: tuple
     steps: int
     trials: int
 
@@ -87,12 +88,11 @@ class LinkTestbed:
     positions: np.ndarray  # chain atoms, two end anchors, programming anchor
     center_on: int  # full configuration with the central atom excited
     center_off: int  # full configuration with the central atom idle
-    center_index: int
     anchor_index: int
     height: float
 
 
-def build_link_testbed(config: PhysicsConfig, length: int = 5, *, end_distance: float = 1.45) -> LinkTestbed:
+def build_link_testbed(config: PhysicsConfig, length: int = 5) -> LinkTestbed:
     if length < 5 or length % 2 == 0:
         raise ValidationError(f"sweep testbed needs an odd link length >= 5, got {length}")
     gadget = make_gadget("link", config=config, length=length)
@@ -100,7 +100,7 @@ def build_link_testbed(config: PhysicsConfig, length: int = 5, *, end_distance: 
     d = config.spacing
     center = (length - 1) // 2
     ends = np.array(
-        [pos[0] - (end_distance * d, 0.0), pos[-1] + (end_distance * d, 0.0)]
+        [pos[0] - (_END_DISTANCE * d, 0.0), pos[-1] + (_END_DISTANCE * d, 0.0)]
     )
     base = np.vstack([pos, ends])
     anchor_bits = mask_of(range(length, length + 3))
@@ -127,9 +127,7 @@ def build_link_testbed(config: PhysicsConfig, length: int = 5, *, end_distance: 
 
     height = solve_bracketed(split, 0.5 * d, 5.0 * d, tol=1e-13 * det, scan=split_batch)
     positions = np.vstack([base, [x, height]])
-    return LinkTestbed(
-        config, positions, center_on, center_off, center, length + 2, height
-    )
+    return LinkTestbed(config, positions, center_on, center_off, length + 2, height)
 
 
 def _guard_overlap(positions, spacing, label):
@@ -178,40 +176,6 @@ HEIGHT_SWEEP_HEADER = (
     "split_second_order",
     "states_in_window",
 )
-
-
-def sweep_displacement(config: PhysicsConfig, deltas, *, length: int = 5):
-    """Rows of the ``dx`` sweep on a balanced link.
-
-    One of the two atoms flanking the centre moves by ``delta`` towards its
-    partner (their spacing is two lattice constants); the exact full-pair-sum
-    change of the value splitting is emitted next to the leading
-    closer-pair power-law term, whose steepness makes the response asymmetric
-    in the sign of ``delta``.
-    """
-    if length < 5 or length % 2 == 0:
-        raise ValidationError(f"displacement sweep needs an odd link length >= 5, got {length}")
-    anchored = balance_open_ports(make_gadget("link", config=config, length=length), config)
-    pos = anchored.positions
-    center = (length - 1) // 2
-    moved = center - 1
-    masks = anchored.full_masks()
-    moved_on = next(m for m in masks if (m >> moved) & 1)
-    moved_off = next(m for m in masks if not (m >> moved) & 1)
-    c6, d = config.c6, config.spacing
-    gap = 2.0 * d
-    rows = []
-    for k, delta in enumerate(deltas):
-        shifted = pos.copy()
-        shifted[moved, 0] += delta
-        _guard_overlap(shifted, d, f"dx={delta!r}")
-        exact = displacement_shift(pos, moved_on, moved_off, moved, (1.0, 0.0), delta, c6)
-        leading = c6 / (gap - delta) ** 6 - c6 / gap**6
-        rows.append((k, delta, exact, leading))
-    return rows
-
-
-DISPLACEMENT_SWEEP_HEADER = ("index", "delta", "shift_exact", "shift_power_law")
 
 
 # ---------------------------------------------------------------------------
@@ -274,59 +238,70 @@ def _parse_gadget_spec(text: str):
     return kind, 5 if kind == "link" else None
 
 
-def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
-    config = _physics(rc, _GADGET_RATIO.get(kind, _DEFAULT_GADGET_RATIO))
-    gadget = make_gadget(kind, config=config, length=length)
-    anchored = balance_open_ports(gadget, config)
-    masks = anchored.full_masks()
+def _verify_layout(rc, config, title, positions, masks, anchor_mask, hashes, check) -> int:
+    """Enumerate a layout, write its report and spectrum, and print the verdict.
+
+    A layout verifies when its ground states are logical with every anchor
+    excited, the window lists the whole logical band untruncated and below
+    every bulk state (a window too small for the band, or a spectrum cut at
+    ``cap``, leaves states unseen), and the route's own ``check(result,
+    report)`` holds; ``check`` may add its findings to the report.
+    """
     unit = config.energy_unit
     result = spectrum(
-        anchored.positions,
+        positions,
         config.detuning,
         config.c6,
         window=rc.window * unit,
         cap=rc.cap,
+        hint_configs=masks,
         logical_masks=masks,
     )
-    report = reports.verification_report(
-        result,
-        masks,
-        anchored.anchor_mask,
-        config,
-        hashes={"gadget": reports.fingerprint(reports.gadget_document(anchored, config))},
-    )
+    report = reports.verification_report(result, masks, anchor_mask, config, hashes=hashes)
+    route_ok = check(result, report)
     band = report["logical_band"]
-    tight = _clean_band(report, masks, result) and band["spread"] <= 1e-9 * unit
     verified = bool(
-        report["ground_all_logical"] and report["anchors_excited"] and tight
+        report["ground_all_logical"]
+        and report["anchors_excited"]
+        and band is not None
+        and band["count"] == len(masks)
+        and not result.truncated
+        and ("gap_to_bulk" not in report or report["gap_to_bulk"] > 0)
+        and route_ok
     )
     report["verified"] = verified
     reports.write_json(os.path.join(rc.out, "report.json"), report)
     reports.write_spectrum_csv(os.path.join(rc.out, "spectrum.csv"), result, config)
-    _say(f"gadget: {gadget.kind} ({gadget.n} atoms + {len(anchored.anchors)} anchors)")
+    _say(title)
     _say(f"states in window: {len(result.entries)}")
     _say(f"largest block table: {result.peak_table} rows")
     if band is not None:
         _say(f"logical band: {band['count']}/{len(masks)} states, spread {band['spread']:.3e}")
+    if "gap_to_bulk" in report:
+        _say(f"gap to first bulk state: {report['gap_to_bulk']:.3e}")
     _say(f"ground states logical: {report['ground_all_logical']}")
     _say(f"anchors excited: {report['anchors_excited']}")
+    if "decode_consistent" in report:
+        _say(f"decode consistent: {report['decode_consistent']}")
     _say("verified" if verified else "VERIFICATION FAILED")
     return 0 if verified else 4
 
 
-def _clean_band(report, masks, result) -> bool:
-    """Whether the window lists the whole logical band, below every bulk state.
+def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
+    config = _physics(rc, _GADGET_RATIO.get(kind, _DEFAULT_GADGET_RATIO))
+    gadget = make_gadget(kind, config=config, length=length)
+    anchored = balance_open_ports(gadget, config)
 
-    A window too small for the band or a spectrum truncated at ``cap`` leaves
-    states unseen, and a gap that is not positive puts a bulk state among
-    the logical states: neither route may call such a layout verified.
-    """
-    band = report["logical_band"]
-    return (
-        band is not None
-        and band["count"] == len(masks)
-        and not result.truncated
-        and ("gap_to_bulk" not in report or report["gap_to_bulk"] > 0)
+    def tight(result, report):
+        band = report["logical_band"]
+        return band is not None and band["spread"] <= 1e-9 * config.energy_unit
+
+    title = f"gadget: {gadget.kind} ({gadget.n} atoms + {len(anchored.anchors)} anchors)"
+    hashes = {"gadget": reports.fingerprint(reports.gadget_document(anchored, config))}
+    return _verify_layout(
+        rc, config, title,
+        anchored.positions, anchored.full_masks(), anchored.anchor_mask,
+        hashes, tight,
     )
 
 
@@ -360,48 +335,22 @@ def _decode_ground(entries, layout, program, problem, optimum):
 def _verify_problem(rc: RunConfig) -> int:
     config = _physics(rc, _ASSEMBLY_RATIO)
     problem, program, layout = _compiled_layout(rc, config)
-    masks = layout.full_masks()
-    unit = config.energy_unit
-    result = spectrum(
-        layout.positions,
-        layout.detunings,
-        config.c6,
-        window=rc.window * unit,
-        cap=rc.cap,
-        hint_configs=masks,
-        logical_masks=masks,
+
+    def decodes(result, report):
+        optimum, _ = brute_force_optimum(problem)
+        ground = result.entries[: report["ground_degeneracy"]]  # entries sorted by energy
+        _, ok = _decode_ground(ground, layout, program, problem, optimum)
+        report["decode_consistent"] = ok
+        report["optimum"] = optimum
+        return ok
+
+    title = f"problem: {problem.label} ({layout.n_comp}+{layout.n_anchors} atoms)"
+    hashes = reports.layout_document(layout, link_length=rc.link_length)["hashes"]
+    return _verify_layout(
+        rc, config, title,
+        layout.positions, layout.full_masks(), layout.anchor_mask,
+        hashes, decodes,
     )
-    doc = reports.layout_document(layout, link_length=rc.link_length)
-    report = reports.verification_report(
-        result, masks, layout.anchor_mask, config, hashes=doc["hashes"]
-    )
-    optimum, _ = brute_force_optimum(problem)
-    ground = [e for e in result.entries if e.energy <= result.ground_energy + 1e-9 * unit]
-    _, decode_ok = _decode_ground(ground, layout, program, problem, optimum)
-    report["decode_consistent"] = decode_ok
-    report["optimum"] = optimum
-    band = report["logical_band"]
-    verified = bool(
-        report["ground_all_logical"]
-        and report["anchors_excited"]
-        and decode_ok
-        and _clean_band(report, masks, result)
-    )
-    report["verified"] = verified
-    reports.write_json(os.path.join(rc.out, "report.json"), report)
-    reports.write_spectrum_csv(os.path.join(rc.out, "spectrum.csv"), result, config)
-    _say(f"problem: {problem.label} ({layout.n_comp}+{layout.n_anchors} atoms)")
-    _say(f"states in window: {len(result.entries)}")
-    _say(f"largest block table: {result.peak_table} rows")
-    if band is not None:
-        _say(f"logical band: {band['count']}/{len(masks)} states, spread {band['spread']:.3e}")
-    if "gap_to_bulk" in report:
-        _say(f"gap to first bulk state: {report['gap_to_bulk']:.3e}")
-    _say(f"ground states logical: {report['ground_all_logical']}")
-    _say(f"anchors excited: {report['anchors_excited']}")
-    _say(f"decode consistent: {decode_ok}")
-    _say("verified" if verified else "VERIFICATION FAILED")
-    return 0 if verified else 4
 
 
 def cmd_verify(rc: RunConfig) -> int:
@@ -422,17 +371,11 @@ def _deltas(rc: RunConfig):
 def cmd_sweep(rc: RunConfig) -> int:
     config = _physics(rc, _DEFAULT_GADGET_RATIO)
     deltas = _deltas(rc)
-    if rc.param == "dy":
-        testbed = build_link_testbed(config, rc.link_length)
-        rows = sweep_anchor_height(testbed, deltas, window_fraction=rc.window)
-        header = HEIGHT_SWEEP_HEADER
-        path = os.path.join(rc.out, "sweep_dy.csv")
-        _say(f"anchor equilibrium height: {testbed.height!r}")
-    else:
-        rows = sweep_displacement(config, deltas, length=rc.link_length)
-        header = DISPLACEMENT_SWEEP_HEADER
-        path = os.path.join(rc.out, "sweep_dx.csv")
-    reports.write_csv(path, header, rows)
+    testbed = build_link_testbed(config, rc.link_length)
+    rows = sweep_anchor_height(testbed, deltas, window_fraction=rc.window)
+    path = os.path.join(rc.out, "sweep_dy.csv")
+    _say(f"anchor equilibrium height: {testbed.height!r}")
+    reports.write_csv(path, HEIGHT_SWEEP_HEADER, rows)
     _say(f"{len(rows)} rows: {path}")
     return 0
 
@@ -545,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="response curve of one programming handle")
     common(p)
-    p.add_argument("--param", choices=("dy", "dx"), required=True,
-                   help="dy: anchor height, dx: atom displacement")
+    p.add_argument("--param", choices=("dy",), required=True,
+                   help="the handle to sweep; dy, the anchor height, is the only one")
     p.add_argument("--range", default=None, metavar="LO:HI",
                    help="sweep interval in lattice spacings")
     p.add_argument("--steps", type=int, default=15)
@@ -583,11 +526,7 @@ def _run_config(args) -> RunConfig:
     link_length = args.link_length
     if link_length < 3 or link_length % 2 == 0:
         raise ValidationError(f"link length must be odd and at least 3, got {link_length}")
-    param = getattr(args, "param", None)
     raw_range = getattr(args, "range", None)
-    sweep_range = None
-    if param is not None:
-        sweep_range = _parse_range(raw_range) if raw_range else _SWEEP_RANGES[param]
     return RunConfig(
         subcommand=args.subcommand,
         problem=getattr(args, "problem", None),
@@ -597,8 +536,7 @@ def _run_config(args) -> RunConfig:
         cap=200_000,
         out=out,
         seed=getattr(args, "seed", 0),
-        param=param,
-        sweep_range=sweep_range,
+        sweep_range=_parse_range(raw_range) if raw_range else _SWEEP_RANGE,
         steps=steps,
         trials=trials,
     )
@@ -614,10 +552,7 @@ def main(argv=None) -> int:
         rc = _run_config(args)
         os.makedirs(rc.out, exist_ok=True)
         return _COMMANDS[rc.subcommand](rc)
-    except (ProblemFormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ProblemFormatError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RydcompError as exc:

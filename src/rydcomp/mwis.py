@@ -41,12 +41,6 @@ class UDGraph:
     neighbor_masks: tuple
     boundary_pairs: tuple = ()
 
-    def degree(self, i: int) -> int:
-        return bin(self.neighbor_masks[i]).count("1")
-
-    def independent(self, mask: int) -> bool:
-        return not any(self.neighbor_masks[i] & mask for i in _bits(mask))
-
 
 def ud_graph(positions, radius) -> UDGraph:
     pos = np.asarray(positions, dtype=float)

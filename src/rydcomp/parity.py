@@ -228,31 +228,27 @@ def parity_energy(program: ParityProgram, values) -> float:
     )
 
 
-def decode(program: ParityProgram, values, *, full_fiber: bool = False):
+def decode(program: ParityProgram, values):
     """Problem assignment read off one satisfying parity pattern.
 
     Complete-graph programs decode uniquely from the singles.  Bipartite
     programs carry a global-flip gauge freedom; the representative with
-    variable 0 clear is returned (both, oldest-first, with ``full_fiber``).
+    variable 0 clear is returned.
     """
     vals = _check_values(program, values)
     problem = program.problem
     if problem.family == "complete":
-        bits = tuple(
+        return tuple(
             vals[program.index(("s", i))] ^ int(program.variable(("s", i)).complemented)
             for i in range(problem.n)
         )
-        return (bits,) if full_fiber else bits
     n, m = problem.n, problem.m
     x = [0] * (n + m)
     for j in range(m):
         x[n + j] = vals[program.index(("p", 0, j))]
     for i in range(1, n):
         x[i] = vals[program.index(("p", i, 0))] ^ x[n]
-    bits = tuple(x)
-    if full_fiber:
-        return (bits, tuple(1 - b for b in bits))
-    return bits
+    return tuple(x)
 
 
 def _check_values(program, values):

@@ -45,6 +45,7 @@ _COINCIDENT = 1e-12
 _EPS = float(np.finfo(float).eps)
 _BLOCK_SIZE = 10  # atoms per block of the branch-and-bound's first tables
 _NEAR = 1.5  # sweep-graph edges join pairs closer than this times the closest pair
+_JOIN_CAP = 1 << 26  # largest product of two block tables a join pass multiplies out
 
 
 @dataclass(frozen=True)
@@ -461,13 +462,13 @@ def _path_prune(tables, v, cutoff, bounds):
     return tables, None
 
 
-def _join_pass(tables, v, cutoff, max_frontier, bounds, cap=1 << 26):
+def _join_pass(tables, v, cutoff, max_frontier, bounds):
     """Merge adjacent block pairs into wider blocks with exact tables.
 
     Each merge multiplies out the two config tables with their exact cross
     interaction and keeps a combination only when the chain messages from
     both sides (``bounds``, sent here when None) cannot rule it out.  Pairs
-    whose product would exceed ``cap`` entries are left for the frontier
+    whose product would exceed ``_JOIN_CAP`` entries are left for the frontier
     sweep instead.
     """
     if len(tables) < 2:
@@ -477,7 +478,7 @@ def _join_pass(tables, v, cutoff, max_frontier, bounds, cap=1 << 26):
     while i < len(tables):
         if i + 1 < len(tables):
             (aa, occa, ea), (ab, occb, eb) = tables[i], tables[i + 1]
-            if len(ea) * len(eb) <= cap:
+            if len(ea) * len(eb) <= _JOIN_CAP:
                 fields = occa @ v[np.ix_(aa, ab)]
                 occs, es, kept = [], [], 0
                 step = max(1, (1 << 22) // max(1, len(eb)))

@@ -88,7 +88,14 @@ _ORBITS = {
 }
 
 
-def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, samples=128, scan=None):
+_SCAN_SAMPLES = 128  # samples of every bracket scan
+_ANCHOR_LO, _ANCHOR_HI = 0.5, 5.0  # first anchor search window, in spacings
+_CORRIDOR_LIMIT = 60.0  # farthest an anchor may travel along its ray, in spacings
+_BALANCE_TOL = 1e-12  # port-anchor polish tolerance, over the pair energy
+_BALANCE_ROUNDS = 60  # orbit sweeps the port-anchor polish may take
+
+
+def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
     """Solve ``fn(y) == target`` on [lo, hi] without derivatives.
 
     A uniform scan finds a sign change, bisection shrinks it, and a secant
@@ -118,7 +125,7 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, samples=128, scan=None
         def scan(ys):
             return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
 
-    grid = np.linspace(lo, hi, samples)
+    grid = np.linspace(lo, hi, _SCAN_SAMPLES)
     ys = grid.tolist()
     est, bound = scan(grid)
     miss = est - target
@@ -135,7 +142,7 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, samples=128, scan=None
         k = int(np.argmax(stop))
         bracket = (k, k) if sign[k] == 0 else (k, k + 1)
     elif sign[-1] == 0:
-        bracket = (samples - 1, samples - 1)
+        bracket = (_SCAN_SAMPLES - 1, _SCAN_SAMPLES - 1)
     else:
         raise NoRootInRange(
             f"no sign change against target {target:.6g} in [{lo:.6g}, {hi:.6g}]",
@@ -399,24 +406,24 @@ class Anchor:
     style: str  # "axial" | "raise" | "lower"
 
 
-def place_anchor(prof, base, direction, target, config, *, lo=0.5, hi=5.0, cap=60.0):
+def place_anchor(prof, base, direction, target, config, *, cap=60.0):
     """Anchor position on the ray ``base + y*direction`` with ``prof == target``.
 
-    Distances are in units of the lattice spacing; the search window grows
-    (up to ``cap`` spacings) when the target is too weak for the first
-    bracket.  Returns ``(position, distance)``; the residual is at most
-    1e-12 of the detuning.  ``prof`` carries a batch form ``prof.batch``, as
-    :func:`service_functional` does, which scores each window's bracket scan
-    in one pass.
+    Distances are in units of the lattice spacing; the search window starts
+    at ``[_ANCHOR_LO, _ANCHOR_HI]`` and grows (up to ``cap`` spacings) when
+    the target is too weak for the first bracket.  Returns ``(position,
+    distance)``; the residual is at most 1e-12 of the detuning.  ``prof``
+    carries a batch form ``prof.batch``, as :func:`service_functional` does,
+    which scores each window's bracket scan in one pass.
     """
     base = np.asarray(base, dtype=float)
     u = np.asarray(direction, dtype=float)
     u = u / np.linalg.norm(u)
     s = config.spacing
     tol = 1e-12 * config.detuning
-    if cap <= lo:
-        raise NoRootInRange(f"no room on this ray: cap {cap:.2f} <= {lo:.2f}")
-    top = min(hi, cap)
+    if cap <= _ANCHOR_LO:
+        raise NoRootInRange(f"no room on this ray: cap {cap:.2f} <= {_ANCHOR_LO:.2f}")
+    top = min(_ANCHOR_HI, cap)
 
     def scan(ts):
         return prof.batch(base + ts[:, None] * u)  # the scalar's base + t * u
@@ -425,7 +432,7 @@ def place_anchor(prof, base, direction, target, config, *, lo=0.5, hi=5.0, cap=6
         try:
             y = solve_bracketed(
                 lambda t: prof(base + t * u),
-                lo * s,
+                _ANCHOR_LO * s,
                 top * s,
                 target=target,
                 tol=tol,
@@ -475,7 +482,7 @@ def _clearance(instance, ch, q):
     return float(np.sqrt((d**2).sum(axis=1)).min())
 
 
-def _corridor_cap(instance, ch, base, direction, limit=60.0):
+def _corridor_cap(instance, ch, base, direction):
     """How far an anchor may travel along a ray before it stops being local.
 
     An anchor further from its base atom than from some unrelated structure
@@ -499,7 +506,7 @@ def _corridor_cap(instance, ch, base, direction, limit=60.0):
     near_own = [a for a in accounted if a not in mine]
     u = np.asarray(direction, dtype=float)
     u = u / np.linalg.norm(u)
-    ts = np.linspace(0.05, limit, 1200) * s
+    ts = np.linspace(0.05, _CORRIDOR_LIMIT, 1200) * s
     pts = np.asarray(base, dtype=float)[None, :] + ts[:, None] * u[None, :]
     standoff = instance.config.blockade_radius + 0.2 * s
     bad = np.zeros(len(ts), dtype=bool)
@@ -512,7 +519,7 @@ def _corridor_cap(instance, ch, base, direction, limit=60.0):
         near = np.sqrt((diff**2).sum(-1)).min(axis=1)
         bad |= near < standoff
     if not bad.any():
-        return limit
+        return _CORRIDOR_LIMIT
     k = int(np.argmax(bad))
     return float(ts[max(k - 1, 0)] / s) if k else 0.0
 
@@ -908,7 +915,7 @@ class AnchoredGadget:
         return tuple(m | self.anchor_mask for m in self.gadget.logical_states)
 
 
-def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
+def balance_open_ports(gadget: Gadget, config):
     """Anchor every port of a free-standing gadget and polish to degeneracy.
 
     The gadget is wrapped as a one-element instance and compensated and
@@ -917,8 +924,8 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
     axis.  Distances start from the single-atom inversion of the homogenised
     port weight and are then polished orbit by orbit (a Gauss–Seidel sweep
     over the symmetry orbits) on the exact energy differences of the full
-    gadget-plus-anchor system, to ``tol`` in units of the nearest-neighbour
-    pair energy.  Each logical state gets one ``physics.moving_energy``
+    gadget-plus-anchor system, to ``_BALANCE_TOL`` in units of the
+    nearest-neighbour pair energy.  Each logical state gets one ``physics.moving_energy``
     kernel with the anchors as its moving atoms, so a trial distance
     recomputes only the anchor pairs, bitwise equal to ``diagonal_energy``
     on the stacked layout.  Each root solve's bracket scan goes through the
@@ -969,12 +976,12 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
         return kernels[hi](rows) - kernels[lo](rows)
 
     orbits = _ORBITS[gadget.kind]
-    scale = tol * cfg.energy_unit
+    scale = _BALANCE_TOL * cfg.energy_unit
 
     def conditions(d):
         return [split(d, hi, lo) for _, (hi, lo) in orbits]
 
-    for _ in range(max_rounds):
+    for _ in range(_BALANCE_ROUNDS):
         for members, (hi, lo) in orbits:
 
             def gap(y):
@@ -1020,33 +1027,3 @@ def balance_open_ports(gadget: Gadget, config, *, tol=1e-12, max_rounds=60):
     )
     return AnchoredGadget(gadget, w2, anchors, pos)
 
-
-# ---------------------------------------------------------------------------
-# displacement programming
-
-
-def displacement_shift(positions, one_mask, zero_mask, atom, direction, delta, c6):
-    """Change of the value splitting when one atom moves by ``delta``.
-
-    ``one_mask``/``zero_mask`` are the excitation patterns of the two
-    logical states (anchors appear in both).  The full pair sum over every
-    partner of the moved atom is evaluated — no small-displacement
-    expansion.
-    """
-    pos = np.asarray(positions, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    moved = pos[atom] + delta * u
-    e1a = (one_mask >> atom) & 1
-    e0a = (zero_mask >> atom) & 1
-    out = 0.0
-    for j in range(len(pos)):
-        if j == atom:
-            continue
-        sigma = e1a * ((one_mask >> j) & 1) - e0a * ((zero_mask >> j) & 1)
-        if sigma == 0:
-            continue
-        d_new = float(((moved - pos[j]) ** 2).sum())
-        d_old = float(((pos[atom] - pos[j]) ** 2).sum())
-        out += sigma * (c6 / d_new**3 - c6 / d_old**3)
-    return out

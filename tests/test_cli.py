@@ -163,6 +163,16 @@ class TestVerify:
         # both logical states lead the spectrum, flagged in the last column
         assert [row.split(",")[-1] for row in lines[1:3]] == ["1", "1"]
 
+    def test_gadget_route_prints_gap(self, tmp_path, capsys):
+        # the fork's window holds two bulk states above its band
+        code, out = run(tmp_path, "verify", "--problem", "fork")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verified"] and report["gap_to_bulk"] > 0
+        printed = capsys.readouterr().out.splitlines()
+        assert f"gap to first bulk state: {report['gap_to_bulk']:.3e}" in printed
+        assert printed[-1] == "verified"
+
     def test_gadget_route_defaults_kite_ratio(self, tmp_path):
         code, out = run(tmp_path, "verify", "--problem", "kite")
         assert code == 0
@@ -210,26 +220,30 @@ class TestVerify:
         assert not report["verified"]
 
     def test_truncated_spectrum_fails(self, tmp_path):
-        # the fork's window holds its 2 logical states and 2 bulk states: a
-        # cap of 3 keeps the whole band but cuts the spectrum short
-        rc = cli.RunConfig(
-            subcommand="verify",
-            problem="fork",
-            ratio=None,
-            link_length=5,
-            window=0.02,
-            cap=3,
-            out=str(tmp_path),
-            seed=0,
-            param=None,
-            sweep_range=None,
-            steps=1,
-            trials=1,
-        )
-        assert cli.cmd_verify(rc) == 4
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["truncated"] and report["logical_band"]["count"] == 2
-        assert not report["verified"]
+        # each cap keeps the whole band but cuts the spectrum short: the
+        # fork's window holds its 2 logical states and 2 bulk states, and
+        # K_{2,2}'s default window its 8 logical states among 24
+        k22 = problem_file(tmp_path, {"family": "K_{2,2}"})
+        for route, spec, cap, band in (("gadget", "fork", 3, 2), ("problem", k22, 10, 8)):
+            out = tmp_path / route
+            rc = cli.RunConfig(
+                subcommand="verify",
+                problem=spec,
+                ratio=None,
+                link_length=5,
+                window=0.02,
+                cap=cap,
+                out=str(out),
+                seed=0,
+                sweep_range=(0.0, 0.0),
+                steps=1,
+                trials=1,
+            )
+            out.mkdir()
+            assert cli.cmd_verify(rc) == 4, route
+            report = json.loads((out / "report.json").read_text())
+            assert report["truncated"] and report["logical_band"]["count"] == band
+            assert not report["verified"]
 
     @pytest.mark.parametrize("spec", ["hexagon", "link:4", "link:2"])
     def test_bad_gadget_spec(self, tmp_path, spec):
@@ -263,25 +277,21 @@ class TestSweep:
         assert abs(float(mid[5])) <= 1e-9 * 3.0  # split_exact at the solved root
 
     def test_zero_length_range_single_row(self, tmp_path):
-        code, out = run(tmp_path, "sweep", "--param", "dx", "--range", "0.1:0.1")
+        code, out = run(tmp_path, "sweep", "--param", "dy", "--range", "0.1:0.1")
         assert code == 0
-        rows = (out / "sweep_dx.csv").read_text().splitlines()
+        rows = (out / "sweep_dy.csv").read_text().splitlines()
         assert len(rows) == 2
-        assert rows[0] == ",".join(cli.DISPLACEMENT_SWEEP_HEADER)
+        assert rows[0] == ",".join(cli.HEIGHT_SWEEP_HEADER)
 
     def test_byte_stability(self, tmp_path):
-        _, out1 = run(tmp_path / "a", "sweep", "--param", "dx", "--range=-0.15:0.15", "--steps", "7")
-        _, out2 = run(tmp_path / "b", "sweep", "--param", "dx", "--range=-0.15:0.15", "--steps", "7")
-        assert (out1 / "sweep_dx.csv").read_bytes() == (out2 / "sweep_dx.csv").read_bytes()
+        _, out1 = run(tmp_path / "a", "sweep", "--param", "dy", "--range=-0.15:0.15", "--steps", "7")
+        _, out2 = run(tmp_path / "b", "sweep", "--param", "dy", "--range=-0.15:0.15", "--steps", "7")
+        assert (out1 / "sweep_dy.csv").read_bytes() == (out2 / "sweep_dy.csv").read_bytes()
 
-    def test_displacement_asymmetry_visible(self, tmp_path):
-        code, out = run(
-            tmp_path, "sweep", "--param", "dx", "--range=-0.2:0.2", "--steps", "9"
-        )
-        assert code == 0
-        rows = [r.split(",") for r in (out / "sweep_dx.csv").read_text().splitlines()[1:]]
-        shift = {float(r[1]): float(r[2]) for r in rows}
-        assert shift[0.2] > abs(shift[-0.2])
+    def test_anchor_height_is_the_only_handle(self, tmp_path):
+        code, out = run(tmp_path, "sweep", "--param", "dx")
+        assert code == 2
+        assert not out.exists()
 
     def test_overlap_range_is_pipeline_error(self, tmp_path):
         # pushing the anchor through the chain makes atoms coincide
@@ -340,9 +350,9 @@ class TestPlumbing:
 
     def test_out_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "envout"))
-        code = cli.main(["sweep", "--param", "dx", "--range", "0.1:0.1"])
+        code = cli.main(["sweep", "--param", "dy", "--range", "0.1:0.1"])
         assert code == 0
-        assert (tmp_path / "envout" / "sweep_dx.csv").exists()
+        assert (tmp_path / "envout" / "sweep_dy.csv").exists()
 
     def test_bad_ratio_exits_two(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--problem", "link:3", "--ratio", "0.5")

@@ -116,8 +116,8 @@ class TestEnergyIdentity:
             got = decode(prog, z)
             want = x if x[0] == 0 else tuple(1 - b for b in x)
             assert got == want
-            fiber = decode(prog, z, full_fiber=True)
-            assert x in fiber and len(fiber) == 2
+            # the global flip encodes to the same pattern: both share one fiber
+            assert encode(prog, tuple(1 - b for b in x)) == z
 
     def test_decomposition_preserves_energy(self):
         prog = compile_parity(complete(5, quadratic=[[0, 4, 1.3], [1, 3, -0.7]]))

@@ -20,11 +20,7 @@ from oracles import anchored_requirement, chain_sum
 from rydcomp import cli, programming
 
 from rydcomp.assembly import assemble_layout, logical_subspace, lone_instance
-from rydcomp.errors import (
-    GeometryError,
-    NoRootInRange,
-    ValidationError,
-)
+from rydcomp.errors import NoRootInRange, ValidationError
 from rydcomp.gadgets import make_gadget
 from rydcomp.mwis import solve_mwis, ud_graph
 from rydcomp.parity import compile_parity, decompose_all, parity_energy
@@ -37,7 +33,6 @@ from rydcomp.programming import (
     _tail_pairs,
     balance_open_ports,
     build_global_layout,
-    displacement_shift,
     homogeneous_weights,
     homogenize,
     place_anchor,
@@ -741,102 +736,3 @@ class TestBalanceOpenPorts:
             assert dist > 0.0
             assert len(pos) == 2
         assert anchored.positions.shape == (g.n + 2, 2)
-
-
-def displace_atoms(
-    positions, one_mask, zero_mask, atom, direction, target, config, *, reach=0.45
-):
-    """Move one atom so the value splitting changes by exactly ``target``.
-
-    Root-solves the full pair sum for the displacement along ``direction``
-    within ``[-reach, reach]`` spacings and returns ``(new_positions,
-    delta)``.  The moved atom must stay outside every other atom's blockade
-    disk.
-    """
-    pos = np.asarray(positions, dtype=float).copy()
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    s = config.spacing
-    delta = solve_bracketed(
-        lambda d: displacement_shift(
-            pos, one_mask, zero_mask, atom, u, d, config.c6
-        ),
-        -reach * s,
-        reach * s,
-        target=target,
-        tol=1e-12 * config.detuning,
-    )
-    pos[atom] = pos[atom] + delta * u
-    d = np.sqrt(((np.delete(pos, atom, axis=0) - pos[atom]) ** 2).sum(axis=1))
-    if float(d.min()) <= config.blockade_radius:
-        raise GeometryError(
-            f"displacing atom {atom} by {delta:.3f} enters a blockade disk"
-        )
-    return pos, delta
-
-
-class TestDisplacement:
-    C6 = CFG3.c6
-
-    def toy(self):
-        # two atoms, both excited in the 1-state, only the fixed one in the
-        # 0-state; moving atom 0 along +x approaches its partner at (2, 0)
-        pos = np.array([[0.0, 0.0], [2.0, 0.0]])
-        return pos, 0b11, 0b10
-
-    def test_shift_matches_closed_form(self):
-        pos, one, zero = self.toy()
-        for delta in (0.15, -0.15):
-            got = displacement_shift(pos, one, zero, 0, (1.0, 0.0), delta, self.C6)
-            want = self.C6 / (2.0 - delta) ** 6 - self.C6 / 2.0**6
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_shift_matches_energy_difference(self):
-        pos, one, zero = self.toy()
-        delta = 0.2
-        moved = pos.copy()
-        moved[0, 0] += delta
-        before = diagonal_energy(pos, 1.0, one, self.C6) - diagonal_energy(
-            pos, 1.0, zero, self.C6
-        )
-        after = diagonal_energy(moved, 1.0, one, self.C6) - diagonal_energy(
-            moved, 1.0, zero, self.C6
-        )
-        got = displacement_shift(pos, one, zero, 0, (1.0, 0.0), delta, self.C6)
-        assert got == pytest.approx(after - before, rel=1e-12)
-
-    def test_approach_beats_retreat(self):
-        pos, one, zero = self.toy()
-        for delta in np.linspace(0.02, 0.2, 7):
-            toward = displacement_shift(pos, one, zero, 0, (1.0, 0.0), delta, self.C6)
-            away = displacement_shift(pos, one, zero, 0, (1.0, 0.0), -delta, self.C6)
-            assert toward > 0.0 > away
-            assert toward > abs(away)
-
-    def test_displace_atoms_hits_target(self):
-        pos, one, zero = self.toy()
-        target = 0.05 * CFG3.detuning
-        newpos, delta = displace_atoms(
-            pos, one, zero, 0, (1.0, 0.0), target, CFG3
-        )
-        res = displacement_shift(pos, one, zero, 0, (1.0, 0.0), delta, self.C6)
-        assert res == pytest.approx(target, abs=1e-12)
-        assert newpos[0, 0] == pytest.approx(delta, abs=1e-15)
-        # independent bisection on the same closed form
-        lo, hi = 0.0, 0.45
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            val = self.C6 / (2.0 - mid) ** 6 - self.C6 / 2.0**6
-            if val < target:
-                lo = mid
-            else:
-                hi = mid
-        assert delta == pytest.approx(0.5 * (lo + hi), abs=1e-9)
-
-    def test_displace_refuses_blockade_entry(self):
-        cfg = CFG3
-        pos = np.array([[0.0, 0.0], [1.3, 0.0]])
-        # solving this target would park atom 0 at distance 1.05 < r_B
-        target = cfg.c6 / 1.05**6 - cfg.c6 / 1.3**6
-        with pytest.raises(GeometryError, match="blockade"):
-            displace_atoms(pos, 0b11, 0b10, 0, (1.0, 0.0), target, cfg)
