@@ -218,13 +218,14 @@ def cmd_compile(rc: RunConfig) -> int:
 
 
 def _parse_gadget_spec(text: str):
-    """``link:7`` -> ("link", 7); bare kinds get their default size."""
+    """``link:7`` -> ("link", 7); bare kinds get their default size.
+
+    None when the text before any ``:`` names no catalogue kind.
+    """
     kind, _, tail = text.partition(":")
     kind = kind.strip().lower()
     if kind not in KINDS:
-        raise ValidationError(
-            f"{text!r} is neither a readable problem file nor a catalogue gadget {KINDS}"
-        )
+        return None
     if tail:
         if kind != "link":
             raise ValidationError(f"{kind} does not take a size")
@@ -354,9 +355,15 @@ def _verify_problem(rc: RunConfig) -> int:
 
 
 def cmd_verify(rc: RunConfig) -> int:
+    # a catalogue name wins over a same-named entry of the working directory
+    spec = _parse_gadget_spec(rc.problem)
+    if spec is not None:
+        return _verify_gadget(rc, *spec)
     if os.path.exists(rc.problem):
         return _verify_problem(rc)
-    return _verify_gadget(rc, *_parse_gadget_spec(rc.problem))
+    raise ValidationError(
+        f"{rc.problem!r} is neither a readable problem file nor a catalogue gadget {KINDS}"
+    )
 
 
 def _deltas(rc: RunConfig):
@@ -484,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, problem="problem file (JSON)", window=False)
 
     p = sub.add_parser("verify", help="enumerate a layout and check its logical band")
-    common(p, problem="problem file, or a catalogue gadget such as 'link:5' or 'kite'")
+    common(p, problem="problem file, or a catalogue gadget such as 'link:5' or "
+           "'kite'; a problem file named like a gadget is passed as './kite'")
 
     p = sub.add_parser("sweep", help="response curve of one programming handle")
     common(p)

@@ -24,9 +24,10 @@ on kite grids alike.  Its block tables are also cut by a single-flip rule: a
 block configuration goes when flipping one of its atoms lowers every
 completion of it by more than the window.  Such a state lies above the
 ground energy plus the window, and the ground state itself never loses
-energy to a flip, so the rule is exact.  The window's energies are rescored
-state by state in atom order, so they do not depend on how the atoms were
-cut into blocks.
+energy to a flip, so the rule is exact.  A block configuration holding a
+pair whose energy alone trips the rule is never generated.  The window's
+energies are rescored state by state in atom order, so they do not depend
+on how the atoms were cut into blocks.
 """
 
 from __future__ import annotations
@@ -285,13 +286,14 @@ def spectrum(
 
     Sorting is by (energy, mask), so output is fully deterministic.  Every
     layout goes through the block branch-and-bound; one of at most
-    ``_BLOCK_SIZE`` atoms is a single block, scored exhaustively and cut by
-    the single-flip rule.  The cutoff starts from the lowest real state
-    known: the empty pattern, the state the chain messages decode to, and
-    ``hint_configs`` (known low-lying masks, e.g. the intended logical
-    states).  The decoded state lies within a few thousandths of a detuning
-    of the ground state on the package's chains and kite grids, so hints
-    rarely change the work done there, and they never change the result.
+    ``_BLOCK_SIZE`` atoms is a single block, whose table holds every
+    configuration the single-flip rule keeps.  The cutoff starts from the
+    lowest real state known: the empty pattern, the state the chain
+    messages decode to, and ``hint_configs`` (known low-lying masks, e.g.
+    the intended logical states).  The decoded state lies within a few
+    thousandths of a detuning of the ground state on the package's chains
+    and kite grids, so hints rarely change the work done there, and they
+    never change the result.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
@@ -349,13 +351,27 @@ def _energies(occ, det, v):
     return -np.einsum("ij,j->i", occ, det) + 0.5 * np.einsum("ij,ij->i", fields, occ)
 
 
-def _config_table(blk, det, v):
-    """Exhaustive (atoms, occupancy matrix, internal energy) for one block."""
-    b = len(blk)
-    occ = ((np.arange(1 << b)[:, None] >> np.arange(b)) & 1).astype(float)
-    vbb = v[np.ix_(blk, blk)]
-    e = -(occ @ det[blk]) + 0.5 * np.einsum("ij,ij->i", occ @ vbb, occ)
-    return blk, occ, e
+def _config_table(blk, det, v, slack):
+    """(atoms, occupancy matrix, internal energy) of a block's configs, hard pairs cut.
+
+    A hard pair's energy alone exceeds either atom's detuning by more than
+    ``slack``, so ``_flip_prune`` with that ``slack`` drops every config
+    holding one: an excited atom's in-block field is a float sum of
+    non-negative pair energies, never below any of its terms, and rounding
+    is monotone.  Rows are built atom by atom in block order, each row free
+    of the new atom's hard partners gaining a copy with it, so they stay in
+    ascending mask order and, once pruned, equal the pruned exhaustive table.
+    """
+    atoms = np.asarray(blk)
+    vbb = v[atoms[:, None], atoms]
+    d = det[atoms]
+    hard = vbb - d > slack  # hard[j, i]: v[j, i] alone tips atom i's flip rule
+    hard |= hard.T
+    masks = [0]
+    for k, partners in enumerate((hard @ (1 << np.arange(len(atoms)))).tolist()):
+        masks += [m | 1 << k for m in masks if not m & partners]
+    occ = ((np.array(masks)[:, None] >> np.arange(len(atoms))) & 1).astype(float)
+    return atoms, occ, _energies(occ, d, vbb)
 
 
 def _flip_prune(table, det, v, slack):
@@ -370,11 +386,10 @@ def _flip_prune(table, det, v, slack):
     only completes to states more than ``slack`` above some other state.
     """
     atoms, occ, e = table
-    others = np.ones(len(v), dtype=bool)
-    others[atoms] = False
-    vbb = v[np.ix_(atoms, atoms)]
+    rows = v[atoms]
+    vbb = rows[:, atoms]
     d = det[atoms]
-    outside = v[np.ix_(atoms, others)].sum(axis=1)
+    outside = rows.sum(axis=1) - vbb.sum(axis=1)
     keep = np.ones(len(e), dtype=bool)
     step = max(1, (1 << 22) // len(atoms))
     for s in range(0, len(e), step):
@@ -393,11 +408,18 @@ def _message(costs, tsrc, tdst, v):
     between the two blocks is exact.  Sources are visited cheapest first:
     the interaction is repulsive, so once every remaining source costs
     more than the worst bound found so far, none of them can improve any
-    destination and the scan stops early.
+    destination and the scan stops early.  A message that fits in one
+    source chunk and one destination chunk skips the sort and is one
+    product and one ``min``: the same sums, minimised over the same set.
     """
     blks, occs, _ = tsrc
     blkd, occd, _ = tdst
-    vsd = v[np.ix_(blks, blkd)]
+    vsd = v[blks[:, None], blkd]
+    if len(costs) <= 512 and len(costs) * len(occd) <= 1 << 22:
+        # the add goes in place: a second temporary this size costs more than the product
+        low = (occs @ vsd) @ occd.T
+        low += costs[:, None]
+        return low.min(axis=0, initial=np.inf)  # all inf from no sources, as below
     order = np.argsort(costs, kind="stable")
     out = np.full(len(occd), np.inf)
     for s in range(0, len(order), 512):
@@ -479,7 +501,7 @@ def _join_pass(tables, v, cutoff, max_frontier, bounds):
         if i + 1 < len(tables):
             (aa, occa, ea), (ab, occb, eb) = tables[i], tables[i + 1]
             if len(ea) * len(eb) <= _JOIN_CAP:
-                fields = occa @ v[np.ix_(aa, ab)]
+                fields = occa @ v[aa[:, None], ab]
                 occs, es, kept = [], [], 0
                 step = max(1, (1 << 22) // max(1, len(eb)))
                 for s in range(0, len(ea), step):
@@ -505,7 +527,7 @@ def _join_pass(tables, v, cutoff, max_frontier, bounds):
                 else:
                     occ = np.zeros((0, len(aa) + len(ab)))
                     e2 = np.zeros(0)
-                out.append((aa + ab, occ, e2))
+                out.append((np.concatenate([aa, ab]), occ, e2))
                 joined = True
                 i += 2
                 continue
@@ -527,7 +549,7 @@ def _decode(tables, fin, v):
     atoms, occ, e = tables[-1]
     row = x[atoms] = occ[int(np.argmin(e + fin[-1]))]
     for (src, socc, se), f in zip(tables[-2::-1], fin[-2::-1]):
-        costs = se + f + socc @ (v[np.ix_(src, atoms)] @ row)
+        costs = se + f + socc @ (v[src[:, None], atoms] @ row)
         atoms, row = src, socc[int(np.argmin(costs))]
         x[atoms] = row
     return x
@@ -538,15 +560,18 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     n = len(pos)
     v = pair_matrix(pos, c6)
     slack = window + 1e-9
-    # Prune-and-merge cascade: the single-flip rule (see ``_flip_prune``)
-    # cuts every fresh table on its own, message passing shrinks the tables
-    # further, merging doubles the block width, and wider blocks make both
-    # tighter still (more of each atom's field is inside its block, and the
-    # dropped non-adjacent couplings move further apart and die off like
-    # 1/r^6).  For layouts that thin out fast this ends with a single exact
-    # table; otherwise the frontier sweep below finishes the job.
+    # Prune-and-merge cascade: each fresh table holds only the configs
+    # without a hard pair (see ``_config_table``), the single-flip rule
+    # (see ``_flip_prune``) cuts it further on its own, message passing
+    # shrinks the tables further, merging doubles the block width, and
+    # wider blocks make both tighter still (more of each atom's field is
+    # inside its block, and the dropped non-adjacent couplings move further
+    # apart and die off like 1/r^6).  For layouts that thin out fast this
+    # ends with a single exact table; otherwise the frontier sweep below
+    # finishes the job.
     tables = [
-        _flip_prune(_config_table(b, det, v), det, v, slack) for b in _sweep_blocks(v)
+        _flip_prune(_config_table(b, det, v, slack), det, v, slack)
+        for b in _sweep_blocks(v)
     ]
     peak = max(len(t[2]) for t in tables)
     bounds = _chain_bounds(tables, v)
@@ -572,10 +597,10 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     keep0 = np.nonzero(e0s + bin_[0] <= cutoff)[0]
     focc = (occ0[keep0] > 0.5).astype(np.uint8)
     fe = e0s[keep0]
-    done = list(atoms0)
+    done = atoms0
     for k in range(1, len(tables)):
         blk, occ, e = tables[k]
-        vcross = v[np.ix_(done, blk)]
+        vcross = v[done[:, None], blk]
         occ8 = (occ > 0.5).astype(np.uint8)
         out_occ, out_e, grown = [], [], 0
         fchunk = max(64, (1 << 22) // max(1, len(e)))
@@ -602,7 +627,7 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
         fe = np.concatenate(out_e)
         focc = np.vstack(out_occ)
         peak = max(peak, len(fe))
-        done = done + blk
+        done = np.concatenate([done, blk])
     # The frontier energies were summed block by block, so their last bits
     # depend on the partition.  Rescore the states near the bottom row by
     # row in atom order and cut the window on those energies; the margin

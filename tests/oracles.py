@@ -71,6 +71,19 @@ def matrix_energy(pair_energy, detunings, config: int) -> float:
     return e
 
 
+def exhaustive_table(blk, det, v):
+    """(atoms, occupancy, internal energy) of all ``2**len(blk)`` configs of a block.
+
+    Rows in ascending mask order, atom ``blk[k]`` on bit ``k``; the energy
+    is ``-occ . det + occ . V . occ / 2`` over the block's own pairs.
+    """
+    b = len(blk)
+    occ = ((np.arange(1 << b)[:, None] >> np.arange(b)) & 1).astype(float)
+    vbb = v[np.ix_(blk, blk)]
+    e = -(occ @ det[blk]) + 0.5 * np.einsum("ij,ij->i", occ @ vbb, occ)
+    return np.asarray(blk), occ, e
+
+
 def chain_sum(instance, name, q) -> float:
     """Signed pair sum of a probe atom at ``q`` over one chain.
 

@@ -163,6 +163,13 @@ class TestVerify:
         # both logical states lead the spectrum, flagged in the last column
         assert [row.split(",")[-1] for row in lines[1:3]] == ["1", "1"]
 
+    def test_gadget_route_chain_table_size(self, tmp_path, capsys):
+        # the benchmark's spectrum workload enumerates this chain; a prune
+        # change that moves its largest table shows here first
+        code, _ = run(tmp_path, "verify", "--problem", "link:37")
+        assert code == 0
+        assert "largest block table: 28 rows" in capsys.readouterr().out.splitlines()
+
     def test_gadget_route_prints_gap(self, tmp_path, capsys):
         # the fork's window holds two bulk states above its band
         code, out = run(tmp_path, "verify", "--problem", "fork")
@@ -253,6 +260,19 @@ class TestVerify:
     def test_sized_non_link_gadget_rejected(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--problem", "kite:4")
         assert code == 2
+
+    @pytest.mark.parametrize("spec, code", [("kite", 0), ("fork", 0), ("./fork", 2)])
+    def test_catalogue_name_wins_over_working_directory(
+        self, tmp_path, monkeypatch, capsys, spec, code
+    ):
+        # here `kite` names a directory and `fork` a file holding {}; a bare
+        # catalogue name still verifies the gadget, and `./fork` reads the file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kite").mkdir()
+        (tmp_path / "fork").write_text("{}")
+        assert run(tmp_path, "verify", "--problem", spec)[0] == code
+        if code:
+            assert "problem needs a 'family'" in capsys.readouterr().err
 
     def test_failed_oracle_returns_verification_exit(self, tmp_path, monkeypatch):
         # an oracle that calls everything suboptimal must flip the decode flag

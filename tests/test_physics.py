@@ -19,7 +19,7 @@ from rydcomp.parity import compile_parity, decompose_all
 from rydcomp.problems import parse_problem
 from rydcomp.programming import balance_open_ports, homogenize, tail_compensate
 
-from oracles import matrix_energy
+from oracles import exhaustive_table, matrix_energy
 
 
 def brute_energy(positions, detunings, mask, c6):
@@ -396,8 +396,10 @@ class TestSpectrumBlocks:
         res = physics.spectrum(*args, hint_configs=masks, logical_masks=masks)
         assert res.entries[0].logical
         # blocks cut along the graph sweep follow the chains around the
-        # cross; the largest table holds 96 rows (3,731 on x-sorted slices)
-        assert 0 < res.peak_table <= 200
+        # cross; the largest table holds 96 rows (3,731 on x-sorted slices).
+        # The benchmark's spectrum workload runs this call, so a prune
+        # change that moves the count shows here first.
+        assert res.peak_table == 96
 
     @pytest.mark.parametrize("family", ["K_{2,3}", "K_{2,4}"])
     def test_unhinted_kite_grid_needs_no_hints(self, family):
@@ -502,6 +504,85 @@ class TestFlipPrune:
         for m, x in found.items():
             assert x == pytest.approx(want[m], abs=1e-9)
         assert 0 < peak <= 1 << n
+
+
+class TestConfigTable:
+    """``_config_table`` builds just the rows ``_flip_prune`` can keep.
+
+    Up to ten block atoms among up to fourteen on the ``TestFlipPrune``
+    grid, so the prune's outside field is exercised too; detunings of both
+    signs, and slacks from zero to window-sized.
+    """
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 4)),
+            min_size=1, max_size=14, unique=True,
+        ),
+        st.lists(st.booleans(), min_size=14, max_size=14),
+        st.lists(st.floats(-0.5, 1.1), min_size=14, max_size=14),
+        st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(0.01, 1.0)),
+    )
+    # a 0.8-spaced square: every pair, the diagonals too, exceeds both
+    # detunings, so only the empty and the single-atom rows are built
+    @example([(0, 0), (0, 1), (1, 0), (1, 1)], [True] * 14, [0.5] * 14, 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_pruned_table_equals_exhaustive(self, sites, member, dets, slack):
+        pos = 0.8 * np.array(sites, dtype=float)
+        n = len(pos)
+        blk = [i for i in range(n) if member[i]][: physics._BLOCK_SIZE] or [0]
+        det = np.array(dets[:n])
+        v = physics.pair_matrix(pos, 2.0)
+        full = exhaustive_table(blk, det, v)
+        built = physics._config_table(blk, det, v, slack)
+
+        def hard(i, j):
+            return v[i, j] - det[i] > slack or v[i, j] - det[j] > slack
+
+        want = [
+            r for r in full[1]
+            if not any(hard(blk[a], blk[b]) for a, b in
+                       itertools.combinations(np.flatnonzero(r), 2))
+        ]
+        assert np.array_equal(built[1], np.array(want).reshape(-1, len(blk)))
+        if all(hard(i, j) for i, j in itertools.combinations(blk, 2)):
+            assert len(built[1]) == 1 + len(blk)
+        a = physics._flip_prune(built, det, v, slack)
+        b = physics._flip_prune(full, det, v, slack)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+        scale = np.abs(b[2]).max(initial=0.0)
+        assert np.all(np.abs(a[2] - b[2]) <= 1e-12 * scale)
+
+
+class TestMessage:
+    """``_message`` against the brute-force min-plus product."""
+
+    @pytest.mark.parametrize(
+        "n_src, n_dst",
+        [
+            (60, 40),  # one source and one destination chunk: a single product
+            (700, 30),  # past 512 sources: the sorted scan, which stops early
+        ],
+    )
+    def test_matches_min_plus_product(self, n_src, n_dst):
+        rng = np.random.default_rng(n_src)
+        pos = 0.8 * np.array(
+            [(x, y) for x in range(5) for y in range(5)], dtype=float
+        )
+        v = physics.pair_matrix(pos, 2.0)
+        src = np.arange(12)
+        dst = np.arange(12, 25)
+        occs = rng.integers(0, 2, size=(n_src, len(src))).astype(float)
+        occd = rng.integers(0, 2, size=(n_dst, len(dst))).astype(float)
+        costs = rng.uniform(0.0, 100.0, size=n_src)
+        got = physics._message(
+            costs, (src, occs, costs), (dst, occd, np.zeros(n_dst)), v
+        )
+        cross = np.einsum("si,ij,dj->sd", occs, v[np.ix_(src, dst)], occd)
+        want = (costs[:, None] + cross).min(axis=0)
+        scale = max(np.abs(costs).max(), np.abs(cross).max())
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 class TestBoundReuse:
