@@ -233,7 +233,7 @@ class PlacedGadget:
 class _Builder:
     def __init__(self, config):
         self.config = config
-        self.pos = []
+        self.pos = np.empty((0, 2))  # grows once per add
         self.w = []
         self.elements = []
 
@@ -256,7 +256,7 @@ class _Builder:
         if fresh and n_before:
             # new atoms against every placed atom but the fused ones; the
             # first clash in (local, gid) order is the one reported
-            diff = gadget.positions[fresh][:, None, :] - np.asarray(self.pos)[None, :, :]
+            diff = gadget.positions[fresh][:, None, :] - self.pos[None, :, :]
             clash = np.linalg.norm(diff, axis=2) < rb
             clash[:, list(merge.values())] = False
             rows, gids = np.nonzero(clash)
@@ -265,10 +265,10 @@ class _Builder:
                     f"{gadget.kind} atom {fresh[rows[0]]} clashes with existing atom "
                     f"{gids[0]} (closer than the blockade radius)"
                 )
-        for local in fresh:
-            nodes[local] = len(self.pos)
-            self.pos.append(np.asarray(gadget.positions[local], dtype=float))
+        for k, local in enumerate(fresh):
+            nodes[local] = n_before + k
             self.w.append(float(gadget.weights[local]))
+        self.pos = np.concatenate([self.pos, gadget.positions[fresh]])
         placed = PlacedGadget(
             gadget.kind,
             gadget,
@@ -280,7 +280,7 @@ class _Builder:
 
     def finish(self) -> tuple:
         return (
-            np.array(self.pos, dtype=float),
+            self.pos.copy(),
             np.array(self.w, dtype=float),
             tuple(self.elements),
         )

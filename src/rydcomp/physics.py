@@ -113,8 +113,12 @@ def mask_of(nodes) -> int:
 
 
 def bitstring(mask: int, n: int) -> str:
-    """Render a mask as '0101...' with atom 0 leftmost."""
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
+    """Render a mask as '0101...' with atom 0 leftmost.
+
+    Bit ``n`` is set as a sentinel so ``format`` keeps leading zeros, also
+    for ``n == 0``; the reversal drops it.
+    """
+    return format(mask & ((1 << n) - 1) | 1 << n, "b")[:0:-1]
 
 
 def diagonal_energy(positions, detunings, config: int, c6):
@@ -222,23 +226,23 @@ def moving_energy(positions, detunings, config: int, c6, moving=()):
             terms[t] = c6 / d2**3
         return reduce(add, terms, head)  # left to right, as diagonal_energy adds
 
-    # per slot: both atoms, and the row each takes (-1: it stays put)
-    si, sj, ri, rj = np.array(
-        [(i, j, -1 if a is None else a, -1 if b is None else b) for _, i, j, a, b in slots],
+    # a placement is one table [moving rows | positions]; per slot, the
+    # columns its two atoms take there
+    m = len(moving)
+    ci, cj = np.array(
+        [(m + i if a is None else a, m + j if b is None else b) for _, i, j, a, b in slots],
         dtype=int,
-    ).reshape(-1, 4).T
+    ).reshape(-1, 2).T
     base = reduce(add, fixed, head)
     base_abs = abs(head) + sum(abs(t) for t in fixed)
 
     def batch(rows):
-        rows = np.asarray(rows, dtype=float)
-        px, py, qx, qy = (
-            np.where(r >= 0, rows[:, r, c], pos[a, c])
-            for a, r in ((si, ri), (sj, rj))
-            for c in (0, 1)
-        )
+        table = np.empty((len(rows), m + n, 2))
+        table[:, :m] = rows
+        table[:, m:] = pos
+        d = table[:, ci] - table[:, cj]  # the scalar's px - qx and py - qy
         return batch_pair_sum(
-            px - qx, py - qy, c6, fixed=base, fixed_abs=base_abs, n_fixed=len(fixed) + 1
+            d[..., 0], d[..., 1], c6, fixed=base, fixed_abs=base_abs, n_fixed=len(fixed) + 1
         )
 
     energy.batch = batch
@@ -430,8 +434,9 @@ def _message(costs, tsrc, tdst, v):
         cs = costs[idx][:, None]
         step = max(1, (1 << 22) // len(idx))
         for t in range(0, len(occd), step):
-            low = (cs + fields @ occd[t : t + step].T).min(axis=0)
-            np.minimum(out[t : t + step], low, out=out[t : t + step])
+            low = fields @ occd[t : t + step].T
+            low += cs  # in place, as above: the same sums, no second temporary
+            np.minimum(out[t : t + step], low.min(axis=0), out=out[t : t + step])
     return out
 
 

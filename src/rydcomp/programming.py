@@ -23,11 +23,14 @@ gap in three exact bookkeeping steps plus one geometric one:
    positions plus one uniform detuning per atom.
 
 Every anchor distance is one root solve (``solve_bracketed``): a bracket
-scan over 128 samples, then scalar bisection and a secant polish.  The scan
-scores all samples in one pass through the batch forms of
-``service_functional`` and ``physics.moving_energy`` and takes a sign from
-that pass only where its rounding bound certifies it, so every root is bit
-for bit the one the scalar functional alone gives.
+scan over 128 samples, bisection and a secant polish.  The scan scores its
+samples left to right, 32 at a time, through the batch forms of
+``service_functional`` and ``physics.moving_energy`` and stops at the first
+chunk that holds a crossing.  Bisection scores the midpoints on its path
+toward a secant guess in one more batch.  A sign is taken from a batch only
+where its rounding bound certifies it, and every other sample or midpoint
+calls the scalar functional, so every root is bit for bit the one the
+scalar functional alone gives, at about a quarter of its scalar calls.
 
 A free-standing gadget is compensated and homogenised by the same
 ``tail_compensate`` and ``homogenize``, as a one-element instance
@@ -89,10 +92,56 @@ _ORBITS = {
 
 
 _SCAN_SAMPLES = 128  # samples of every bracket scan
+_SCAN_CHUNK = _SCAN_SAMPLES // 4  # samples scored per batch, left to right
+_SECANT_STEPS = 8  # most fn calls spent guessing the root before bisection
+_SIGN_FLOOR = 1e-150  # |fn - target| a certified midpoint stays above
 _ANCHOR_LO, _ANCHOR_HI = 0.5, 5.0  # first anchor search window, in spacings
 _CORRIDOR_LIMIT = 60.0  # farthest an anchor may travel along its ray, in spacings
 _BALANCE_TOL = 1e-12  # port-anchor polish tolerance, over the pair energy
 _BALANCE_ROUNDS = 60  # orbit sweeps the port-anchor polish may take
+
+
+def _certified_path(g, scan, target, a, fa, b, fb):
+    """Certified signs of ``g`` at the bisection midpoints toward a guessed root.
+
+    A secant run of at most ``_SECANT_STEPS`` calls of ``g`` from the
+    bracket ends, kept inside ``[a, b]``, guesses the root; the bisection
+    path toward that guess is predicted with the loop's own midpoint and
+    stop rule and scored in one batch.  Returns ``{midpoint: sign}`` for
+    every midpoint whose estimate clears ``target`` by more than twice
+    both its bound and ``_SIGN_FLOOR``: there ``g``'s value has that sign
+    and a magnitude above ``_SIGN_FLOOR``.
+    """
+    x0, f0, x1, f1 = a, fa, b, fb
+    guess = b
+    calls = 0
+    while f1 != f0 and f1 != 0.0:
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not a <= x2 <= b:  # also stops a NaN step
+            break
+        guess = x2
+        # a step below the bisection's stop width: x2 is closer still
+        if calls == _SECANT_STEPS or abs(x2 - x1) < 1e-14 * max(1.0, abs(x2)):
+            break
+        x0, f0, x1, f1 = x1, f1, x2, g(x2)
+        calls += 1
+    path = []
+    for _ in range(100):  # the loop's own midpoints and stop rule
+        if b - a < 1e-14 * max(1.0, abs(a)):
+            break
+        path.append(0.5 * (a + b))
+        if guess < path[-1]:
+            b = path[-1]
+        else:
+            a = path[-1]
+    if not path:
+        return {}
+    mids = np.array(path)
+    est, bound = scan(mids)
+    miss = est - target
+    # not "<=": a NaN estimate or bound certifies nothing
+    ok = np.abs(miss) > 2.0 * np.maximum(bound, _SIGN_FLOOR)
+    return dict(zip(mids[ok].tolist(), np.sign(miss[ok]).tolist()))
 
 
 def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
@@ -103,16 +152,30 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
     :class:`NoRootInRange` when the scan sees no crossing or the polish
     cannot reach the tolerance.
 
-    ``scan(ys)`` scores every sample at once: it returns estimates of
+    The scan scores its ``_SCAN_SAMPLES`` samples left to right in four
+    chunks and stops after the first chunk that holds its first stop: a
+    sample that is a root, or the first of two samples that change sign.
+
+    ``scan(ys)`` scores many samples at once: it returns estimates of
     ``fn`` at the float array ``ys`` and, per estimate, an absolute bound on
     its distance from ``fn`` (a batch form such as ``moving_energy``'s).  A
-    sample takes its sign from the estimate only when the estimate clears
-    ``target`` by more than its bound; every other sample is re-scored with
-    ``fn``, and the bracket's two ends always take their values from ``fn``.
-    The signs, hence the bracket, and the values bisection and the polish
-    start from are therefore exactly those of ``fn`` alone, and so is the
-    root, bit for bit.  Without ``scan`` the scan is ``fn`` itself with
-    bound 0.
+    scan sample takes its sign from the estimate only when the estimate
+    clears ``target`` by more than its bound; every other sample is
+    re-scored with ``fn``, and the bracket's two ends always take their
+    values from ``fn``.  With ``scan`` given, bisection also reads signs
+    from one batch: a short secant run on ``fn`` guesses the root, the
+    bisection path toward the guess is predicted and scored at once, and a
+    midpoint on it takes its sign from the batch when the estimate clears
+    ``target`` by more than twice both its bound and ``_SIGN_FLOOR``.
+    ``fn`` is then more than ``_SIGN_FLOOR`` from ``target`` there, so the
+    loop's test ``fa * fm < 0.0`` cannot underflow and its outcome is
+    fixed by the signs alone.  Every other midpoint, one off the predicted
+    path included, calls ``fn``, and an end set from a batch sign is
+    re-scored with ``fn`` before the polish.  The signs, hence the bracket,
+    every bisection step and the values the polish starts from are
+    therefore exactly those of ``fn`` alone, and so is the root, bit for
+    bit.  Without ``scan`` the scan is ``fn`` itself with bound 0 and
+    bisection calls ``fn`` at every midpoint.
     """
     if not lo < hi:
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
@@ -120,29 +183,32 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
     def g(y):
         return fn(y) - target
 
-    if scan is None:
-
-        def scan(ys):
+    def score(ys):
+        if scan is None:
             return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
+        return scan(ys)
 
     grid = np.linspace(lo, hi, _SCAN_SAMPLES)
     ys = grid.tolist()
-    est, bound = scan(grid)
-    miss = est - target
-    sign = np.sign(miss)
+    sign = np.empty(_SCAN_SAMPLES)
     exact = {}  # sample -> residual from fn
-    # not "<=": a NaN estimate or bound is re-scored too
-    for k in np.flatnonzero(~(np.abs(miss) > bound)).tolist():
-        exact[k] = g(ys[k])
-        sign[k] = np.sign(exact[k])
-    # the first sample that is a root or opens a sign change, as a scan of
-    # fn alone finds it
-    stop = (sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0)
-    if stop.any():
-        k = int(np.argmax(stop))
-        bracket = (k, k) if sign[k] == 0 else (k, k + 1)
-    elif sign[-1] == 0:
-        bracket = (_SCAN_SAMPLES - 1, _SCAN_SAMPLES - 1)
+    for end in range(_SCAN_CHUNK, _SCAN_SAMPLES + 1, _SCAN_CHUNK):
+        start = end - _SCAN_CHUNK
+        est, bound = score(grid[start:end])
+        miss = est - target
+        sign[start:end] = np.sign(miss)
+        # not "<=": a NaN estimate or bound is re-scored too
+        for k in (start + np.flatnonzero(~(np.abs(miss) > bound))).tolist():
+            exact[k] = g(ys[k])
+            sign[k] = np.sign(exact[k])
+        # the first sample that is a root or opens a sign change, as a scan
+        # of fn alone finds it; the last one scored can only stop as a root
+        stop = sign[:end] == 0
+        stop[:-1] |= sign[: end - 1] * sign[1:end] < 0
+        if stop.any():
+            k = int(np.argmax(stop))
+            bracket = (k, k) if sign[k] == 0 else (k, k + 1)
+            break
     else:
         raise NoRootInRange(
             f"no sign change against target {target:.6g} in [{lo:.6g}, {hi:.6g}]",
@@ -156,19 +222,41 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
     fa, fb = (exact[k] for k in bracket)
     if fa == 0.0:
         b, fb = a, fa
+    signs = {}
+    if scan is not None and a < b:
+        signs = _certified_path(g, scan, target, a, fa, b, fb)
+    # an end set from a batch sign holds that sign (+-1.0) until re-scored
+    a_signed = b_signed = False
     for _ in range(100):
         if b - a < 1e-14 * max(1.0, abs(a)):
             break
         mid = 0.5 * (a + b)
+        sm = signs.get(mid)
+        if sm is not None and (a_signed or abs(fa) >= _SIGN_FLOOR):
+            # both sides clear _SIGN_FLOOR, so fn's product would not
+            # underflow: its sign is the product of the signs
+            if fa * sm < 0.0:
+                b, fb, b_signed = mid, sm, True
+            else:
+                a, fa, a_signed = mid, sm, True
+            continue
         fm = g(mid)
         if fm == 0.0:
             a = b = mid
             fa = fb = 0.0
+            a_signed = b_signed = False
             break
+        if a_signed and abs(fm) < _SIGN_FLOOR:
+            # fn's product might underflow: it needs fn's value at a
+            fa, a_signed = g(a), False
         if fa * fm < 0.0:
-            b, fb = mid, fm
+            b, fb, b_signed = mid, fm, False
         else:
-            a, fa = mid, fm
+            a, fa, a_signed = mid, fm, False
+    if a_signed:
+        fa = g(a)
+    if b_signed:
+        fb = g(b)
     x0, f0 = a, fa
     x1, f1 = b, fb
     for _ in range(60):

@@ -2,10 +2,10 @@
 
 Everything here is deterministic serialization.  The same objects always
 produce the same bytes — floats are rendered with ``repr`` (shortest
-round-trip form), numpy scalars are converted to plain Python first, JSON
-keys are sorted, and CSV rows use a fixed field order with LF line endings —
-so artifact files diff cleanly across runs and tests can assert byte
-stability.
+round-trip form), numpy leaves are written as the plain Python values they
+hold, JSON keys are sorted, and CSV rows use a fixed field order with LF
+line endings — so artifact files diff cleanly across runs and tests can
+assert byte stability.
 
 Documents carry provenance: SHA-256 fingerprints of the problem, the atom
 coordinates and the three weight vectors (bare, tail-compensated,
@@ -42,9 +42,23 @@ def plain(obj):
     return obj
 
 
+def _numpy_leaf(obj):
+    """``json``'s hook for what it cannot encode: numpy leaves and arrays.
+
+    ``np.float64`` subclasses ``float`` and never reaches the hook; json
+    renders it with ``float.__repr__``, as it would ``plain``'s float.
+    """
+    out = plain(obj)
+    if out is obj:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return out
+
+
 def canonical_json(doc) -> str:
     """Compact JSON with sorted keys — the hashing/normal form."""
-    return json.dumps(plain(doc), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_numpy_leaf
+    )
 
 
 def fingerprint(doc) -> str:
@@ -54,7 +68,7 @@ def fingerprint(doc) -> str:
 
 def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(plain(doc), sort_keys=True, indent=2, allow_nan=False))
+        fh.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_numpy_leaf))
         fh.write("\n")
 
 

@@ -41,6 +41,41 @@ class TestSerialization:
         doc = {"a": np.float64(1.5), "b": np.arange(3), "c": (np.True_, 2)}
         assert reports.plain(doc) == {"a": 1.5, "b": [0, 1, 2], "c": [True, 2]}
 
+    NUMPY_DOC = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(1.0 / 3.0),
+        "i64": np.int64(-7),
+        "u8": np.uint8(200),
+        "flag": np.bool_(False),
+        "tiny": np.float64(5e-324),
+        "neg0": np.float64(-0.0),
+        "rows": np.linspace(0.0, 1.0, 7).reshape(7, 1),
+        "mask": np.array([True, False, True]),
+        "ints": np.arange(4, dtype=np.int32),
+        "nested": [(np.float64(2.0) / 3.0, 1.5), {"z": np.True_, "a": None}],
+        "text": "kite",
+    }
+
+    def test_json_forms_match_plain_bytes(self, tmp_path):
+        doc = self.NUMPY_DOC
+        compact = json.dumps(
+            reports.plain(doc), sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+        assert reports.canonical_json(doc) == compact
+        path = tmp_path / "doc.json"
+        reports.write_json(path, doc)
+        indented = json.dumps(reports.plain(doc), sort_keys=True, indent=2, allow_nan=False)
+        assert path.read_bytes() == (indented + "\n").encode()
+
+    def test_json_forms_refuse_what_plain_leaves(self, tmp_path):
+        for leaf in (object(), np.complex128(1j)):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                reports.canonical_json({"x": [leaf]})
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                reports.write_json(tmp_path / "x.json", {"x": leaf})
+        with pytest.raises(ValueError):
+            reports.canonical_json({"x": np.float64("nan")})
+
     def test_canonical_json_sorts_keys(self):
         assert reports.canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 

@@ -273,6 +273,15 @@ class TestMaskHelpers:
         assert physics.bitstring(0b001, 3) == "100"
         assert physics.bitstring(0b100, 3) == "001"
 
+    @pytest.mark.parametrize("n", [0, 1, 70, 130])
+    def test_bitstring_matches_per_bit_form(self, n):
+        rng = np.random.default_rng(n)
+        masks = [0, (1 << n) - 1, 1 << n, (1 << (n + 9)) - 1]
+        masks += [int(rng.integers(1 << 62)) << int(rng.integers(n + 1)) for _ in range(20)]
+        for mask in masks:  # bits at n and above are not rendered
+            want = "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
+            assert physics.bitstring(mask, n) == want
+
 
 class TestSpectrumDense:
     """Small layouts, whose every pattern fits the window, against brute force."""

@@ -149,6 +149,119 @@ class TestBatchedScan:
         with pytest.raises(NoRootInRange, match="no sign change"):
             solve_bracketed(fn, -2.0, 2.0, scan=lying_scan(fn))
 
+    @staticmethod
+    def chunked(scan, sizes):
+        def recorded(ys):
+            sizes.append(len(ys))
+            return scan(ys)
+
+        return recorded
+
+    @pytest.mark.parametrize(
+        "r, chunks",
+        [
+            (0.5 * (GRID[100] + GRID[101]), 4),  # a root in the last chunk
+            (GRID[31], 1),  # roots on the chunk-boundary samples
+            (GRID[32], 2),
+            (GRID[63], 2),
+            (GRID[64], 3),
+            (0.5 * (GRID[31] + GRID[32]), 2),  # a change across two chunks
+            (0.5 * (GRID[63] + GRID[64]), 3),
+            (GRID[127], 4),  # the last sample is the root
+            (GRID[0], 1),
+        ],
+    )
+    def test_chunked_scan_keeps_root_bits(self, r, chunks):
+        def fn(t):
+            return (t - r) ** 3 + (t - r)
+
+        def truthful(ys):
+            return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
+
+        want = solve_bracketed(fn, -1.0, 1.0)
+        for scan in (truthful, lying_scan(fn), lying_scan(fn, flip=lambda k: True)):
+            sizes = []
+            got = solve_bracketed(fn, -1.0, 1.0, scan=self.chunked(scan, sizes))
+            assert got.hex() == want.hex()
+            # chunks of 32 up to the first stop, then at most one path batch
+            assert sizes[:chunks] == [32] * chunks
+            assert len(sizes) <= chunks + 1 and 32 not in sizes[chunks:]
+
+    @pytest.mark.parametrize("lie", [False, True])
+    def test_chunked_scan_without_root_scores_every_chunk(self, lie):
+        def fn(t):
+            return t**2 + 1.0
+
+        sizes = []
+        scan = lying_scan(fn) if lie else (lambda ys: (ys**2 + 1.0, np.zeros(len(ys))))
+        with pytest.raises(NoRootInRange, match="no sign change"):
+            solve_bracketed(fn, -2.0, 2.0, scan=self.chunked(scan, sizes))
+        assert sizes == [32] * 4
+
+    @given(
+        st.floats(min_value=-0.8, max_value=0.8),
+        st.floats(min_value=1e-175, max_value=1e-140),
+    )
+    @example(-0.27242925360145254, 3.935542620360592e-148)
+    @example(0.0640179281543507, 1.2198331015223531e-148)
+    @example(0.6898855637688361, 4.977704281897794e-148)
+    @example(0.4397897250135747, 3.6430258100913905e-148)
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_values_keep_root_bits(self, r, scale):
+        # near 1e-150, fn's own test fa * fm < 0.0 underflows to zero, so a
+        # midpoint whose fn value may sit below the floor must call fn: one
+        # scan pushes every estimate 1e-150 further from zero, within its
+        # bound, and one lies about the sign
+        def fn(t):
+            return scale * ((t - r) ** 3 + (t - r))
+
+        def inflating(ys):
+            v = np.array([fn(y) for y in ys.tolist()])
+            return v + np.sign(v) * 1e-150, np.full(len(v), 1e-150)
+
+        want = solve_bracketed(fn, -1.0, 1.0, tol=1e-12 * scale)
+        for scan in (inflating, lying_scan(fn)):
+            got = solve_bracketed(fn, -1.0, 1.0, tol=1e-12 * scale, scan=scan)
+            assert got.hex() == want.hex()
+
+    @staticmethod
+    def outcome(fn, **kw):
+        try:
+            return solve_bracketed(fn, -1.0, 1.0, **kw).hex()
+        except NoRootInRange as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("left, right", [(-1e-149, 1e-180), (-1e-180, 1e-149)])
+    @pytest.mark.parametrize("r", np.linspace(-0.7, 0.7, 8).tolist())
+    def test_underflowing_product_keeps_root_bits(self, r, left, right):
+        # on one side of r, fn sits above the floor and the batch certifies
+        # its sign; on the other it is so small that fn's own fa * fm
+        # underflows to zero, which sends bisection the "wrong" way: only
+        # fn's values at both ends reproduce that
+        def fn(t):
+            return right if t >= r else left
+
+        def truthful(ys):
+            return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
+
+        for tol in (1e-200, 1e-170):
+            want = self.outcome(fn, tol=tol)
+            assert self.outcome(fn, tol=tol, scan=truthful) == want
+
+    @pytest.mark.parametrize("r", [-0.61, 0.05, 0.3337, 0.77])
+    def test_polish_starts_from_fn_values(self, r):
+        # a zero bound certifies every midpoint, so both final ends were set
+        # from batch signs; a tolerance below what bisection reaches makes
+        # the polish read both of their values
+        def fn(t):
+            return math.exp(t - r) - 1.0
+
+        def truthful(ys):
+            return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
+
+        for tol in (1e-15, 0.0):
+            assert self.outcome(fn, tol=tol, scan=truthful) == self.outcome(fn, tol=tol)
+
     def test_trusted_scan_calls_fn_only_at_bracket_and_polish(self):
         calls = []
 
@@ -218,7 +331,77 @@ class TestBatchedScan:
         got = outcome()
         monkeypatch.setattr(programming, "solve_bracketed", scalar)
         assert got == outcome()
-        assert counts and max(counts) <= 50
+        assert counts and max(counts) <= 20
+
+    @pytest.mark.parametrize(
+        "tag, quadratic",
+        [("K_{2,2}", [[0, 2, 0.1], [1, 3, -0.15]]), ("K_{2,3}", [[0, 2, 0.2], [1, 4, -0.1]])],
+    )
+    def test_plan_anchors_bitwise_equal_to_scalar_scan(self, tag, quadratic, monkeypatch):
+        inst = layout_instance(tag, quadratic)
+        w2 = homogenize(inst, tail_compensate(inst))
+        real = programming.solve_bracketed
+
+        def scalar(fn, lo, hi, *, scan, **kw):
+            return real(fn, lo, hi, **kw)
+
+        got = anchor_bits(plan_anchors(inst, w2))
+        assert {style for _, style, *_ in got} >= {"axial", "raise"}
+        monkeypatch.setattr(programming, "solve_bracketed", scalar)
+        assert got == anchor_bits(plan_anchors(inst, w2))
+
+    # the anchors as they stand; a solver change that moves any bit fails here
+    PINNED_DISTANCES = {
+        ("kite", 1.5): {
+            "p": "0x1.4d261735e5752p+0",
+            "q": "0x1.32a175928c8fep+0",
+            "r": "0x1.32a175928c8fep+0",
+            "s": "0x1.4d261735e5752p+0",
+        },
+        ("link:31", 3.0): {"p0": "0x1.5a00ef7460496p+0", "p1": "0x1.5a00ef7460496p+0"},
+    }
+
+    @pytest.mark.parametrize("spec, ratio", list(PINNED_DISTANCES))
+    def test_gadget_anchor_bits_are_pinned(self, spec, ratio):
+        kind, _, length = spec.partition(":")
+        cfg = PhysicsConfig(interaction_ratio=ratio)
+        gadget = make_gadget(kind, config=cfg, length=int(length) if length else None)
+        anchored = balance_open_ports(gadget, cfg)
+        got = {name: float(d).hex() for name, _, d in anchored.anchors}
+        assert got == self.PINNED_DISTANCES[spec, ratio]
+
+    def test_k22_plan_bits_are_pinned(self):
+        inst = layout_instance("K_{2,2}")
+        got = anchor_bits(plan_anchors(inst, homogenize(inst, tail_compensate(inst))))
+        x, y0, y1, y2, z = (
+            "0x1.99a5f25a18100p+2",
+            "-0x1.ddb3d742c2655p+2",
+            "0x1.caf1901ea5011p+2",
+            "-0x1.d452b3b0b3b34p+3",
+            "0x1.7ff7d31f18a05p-52",
+        )
+        t0, t1, t2, t3 = (
+            "0x1.058120443f556p-1",
+            "0x1.058120443f54ep-1",
+            "0x1.058120443f552p-1",
+            "0x1.bc008f0d16609p-2",
+        )
+        assert got == [
+            (("p", 0, 0), "axial", 18, ["-" + x, "0x0.0p+0"], t0),
+            (("p", 0, 1), "axial", 25, [x, "0x0.0p+0"], t1),
+            (("p", 1, 0), "axial", 26, ["-" + x, y0], t2),
+            (("p", 1, 1), "axial", 33, [x, y0], t2),
+            (("aux", 0), "axial", 40, [z, y1], t3),
+            (("aux", 0), "axial", 44, [z, y2], t3),
+        ]
+
+
+def anchor_bits(anchors):
+    """Every field of each planned anchor, floats as ``float.hex``."""
+    return [
+        (a.variable, a.style, a.base_atom, [float(c).hex() for c in a.position], float(a.target).hex())
+        for a in anchors
+    ]
 
 
 @functools.lru_cache(maxsize=None)
