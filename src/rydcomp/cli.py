@@ -36,7 +36,7 @@ from . import reports
 from .errors import GeometryError, ProblemFormatError, RydcompError, ValidationError
 from .gadgets import KINDS, make_gadget
 from .parity import compile_parity, decode, decompose_all
-from .physics import PhysicsConfig, diagonal_energy, mask_of, moving_energy, spectrum
+from .physics import PhysicsConfig, mask_of, moving_energy, spectrum
 from .problems import brute_force_optimum, evaluate, load_problem, parse_problem
 from .programming import balance_open_ports, build_global_layout, solve_bracketed
 
@@ -148,14 +148,19 @@ def sweep_anchor_height(testbed: LinkTestbed, deltas, *, window_fraction: float)
     """
     cfg = testbed.config
     c6, d, unit = cfg.c6, cfg.spacing, cfg.energy_unit
+    a = testbed.anchor_index
+    x = float(testbed.positions[a, 0])
+    on, off = (
+        moving_energy(testbed.positions, cfg.detuning, m, c6, (a,))
+        for m in (testbed.center_on, testbed.center_off)
+    )
     rows = []
     for k, delta in enumerate(deltas):
         y = testbed.height + delta
         pos = testbed.positions.copy()
-        pos[testbed.anchor_index, 1] = y
+        pos[a, 1] = y
         _guard_overlap(pos, d, f"dy={delta!r}")
-        e_on = diagonal_energy(pos, cfg.detuning, testbed.center_on, c6)
-        e_off = diagonal_energy(pos, cfg.detuning, testbed.center_off, c6)
+        e_on, e_off = on([(x, y)]), off([(x, y)])
         first = c6 / y**6
         second = first - 2.0 * c6 / (d * d + y * y) ** 3
         found = spectrum(pos, cfg.detuning, c6, window=window_fraction * unit)
@@ -222,11 +227,11 @@ def _parse_gadget_spec(text: str):
 
     None when the text before any ``:`` names no catalogue kind.
     """
-    kind, _, tail = text.partition(":")
+    kind, colon, tail = text.partition(":")
     kind = kind.strip().lower()
     if kind not in KINDS:
         return None
-    if tail:
+    if colon:
         if kind != "link":
             raise ValidationError(f"{kind} does not take a size")
         try:
@@ -499,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=("dy",), required=True,
                    help="the handle to sweep; dy, the anchor height, is the only one")
     p.add_argument("--range", default=None, metavar="LO:HI",
-                   help="sweep interval in lattice spacings")
+                   help="sweep interval in lattice spacings; write --range=LO:HI, "
+                   "since a LO that starts with '-' is read as an option otherwise")
     p.add_argument("--steps", type=int, default=15)
 
     p = sub.add_parser("endtoend", help="randomized compile/enumerate/decode trials")

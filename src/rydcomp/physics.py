@@ -7,9 +7,9 @@ Atoms are treated as classical occupation patterns of the diagonal Hamiltonian
 with a global, resonant drive (so the drive amplitude never enters the
 energies; it is recorded on the config purely for layout documents).
 Occupation patterns are plain integer bitmasks with atom ``i`` on bit ``i``.
-``diagonal_energy`` is the reference pair sum; ``moving_energy`` is its
-kernel for root solving, which fixes one pattern and recomputes only the
-pairs of the atoms that move, bitwise equal to ``diagonal_energy``.  Its
+``moving_energy`` is the pair-sum kernel for root solving: it fixes one
+pattern and recomputes only the pairs of the atoms that move, adding every
+term in one fixed order, so a value does not depend on which atoms move.  Its
 ``batch`` form scores many placements at once through ``batch_pair_sum``,
 which returns each value with a bound on how far it may sit from the
 scalar call; root solvers trust a batched sign only outside that bound.
@@ -46,7 +46,6 @@ _COINCIDENT = 1e-12
 _EPS = float(np.finfo(float).eps)
 _BLOCK_SIZE = 10  # atoms per block of the branch-and-bound's first tables
 _NEAR = 1.5  # sweep-graph edges join pairs closer than this times the closest pair
-_JOIN_CAP = 1 << 26  # largest product of two block tables a join pass multiplies out
 
 
 @dataclass(frozen=True)
@@ -121,28 +120,6 @@ def bitstring(mask: int, n: int) -> str:
     return format(mask & ((1 << n) - 1) | 1 << n, "b")[:0:-1]
 
 
-def diagonal_energy(positions, detunings, config: int, c6):
-    """Energy of one occupation pattern under van der Waals pairs ``c6 / r**6``.
-
-    Raises GeometryError when two *excited* atoms coincide, since the energy
-    is then undefined.
-    """
-    pos = np.asarray(positions, dtype=float)
-    n = len(pos)
-    det = np.broadcast_to(np.asarray(detunings, dtype=float), (n,))
-    idx = [i for i in range(n) if (config >> i) & 1]
-    e = -float(det[idx].sum()) if idx else 0.0
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            d2 = float(((pos[idx[a]] - pos[idx[b]]) ** 2).sum())
-            if d2 < _COINCIDENT**2:
-                raise GeometryError(
-                    f"excited atoms {idx[a]} and {idx[b]} coincide"
-                )
-            e += c6 / d2**3
-    return e
-
-
 def batch_pair_sum(dx, dy, coeff, *, fixed=0.0, fixed_abs=0.0, n_fixed=0):
     """Rows of ``fixed + sum_s coeff_s / d2_s**3`` and a bound on their rounding.
 
@@ -178,17 +155,18 @@ def batch_pair_sum(dx, dy, coeff, *, fixed=0.0, fixed_abs=0.0, n_fixed=0):
 
 
 def moving_energy(positions, detunings, config: int, c6, moving=()):
-    """``diagonal_energy`` of one pattern as a function of where some atoms sit.
+    """Energy of one pattern as a function of where some atoms sit.
 
     Returns ``f(rows)``: the energy of ``config`` when atom ``moving[k]`` sits
     at ``rows[k]`` and every other atom stays at ``positions`` (the rows given
-    there for the moving atoms are ignored).  The ``-sum detuning`` head and
-    the fixed-fixed pair terms are computed once, in ``diagonal_energy``'s
-    ``(a < b)`` order over the excited atoms; a call recomputes only the pairs
-    that touch an excited moving atom and then adds the terms one by one in
-    that order, so the result is bitwise equal to ``diagonal_energy``.  Raises
-    GeometryError, as that function does, when two excited atoms coincide.
-    Positions are planar ``(x, y)`` rows.
+    there for the moving atoms are ignored).  The energy is ``-sum detuning``
+    over the excited atoms plus ``c6 / r**6`` per excited pair.  The head and
+    the fixed-fixed pair terms are computed once, in ``(a < b)`` order over
+    the excited atoms; a call recomputes only the pairs that touch an excited
+    moving atom and then adds the terms one by one in that order, so the
+    result is bitwise the full pair sum in that order, whichever atoms move.
+    Raises GeometryError when two excited atoms coincide, since the energy
+    is then undefined.  Positions are planar ``(x, y)`` rows.
 
     ``f.batch(rows)`` scores Y placements at once, ``rows`` of shape
     ``(Y, len(moving), 2)``, from the same slot table.  It returns the values
@@ -224,7 +202,7 @@ def moving_energy(positions, detunings, config: int, c6, moving=()):
             if d2 < _COINCIDENT**2:
                 raise GeometryError(f"excited atoms {i} and {j} coincide")
             terms[t] = c6 / d2**3
-        return reduce(add, terms, head)  # left to right, as diagonal_energy adds
+        return reduce(add, terms, head)  # left to right, in pair order
 
     # a placement is one table [moving rows | positions]; per slot, the
     # columns its two atoms take there
@@ -260,7 +238,7 @@ class SpectrumEntry:
 class SpectrumResult:
     """Sorted window of a spectrum.
 
-    ``peak_table`` counts the most rows any block table or frontier of the
+    ``peak_table`` counts the most rows any block table of the
     branch-and-bound held after pruning.
     """
 
@@ -297,7 +275,8 @@ def spectrum(
     the intended logical states).  The decoded state lies within a few
     thousandths of a detuning of the ground state on the package's chains
     and kite grids, so hints rarely change the work done there, and they
-    never change the result.
+    never change the result.  ``max_frontier`` bounds the rows any joined
+    table may keep; a join that keeps more raises EnumerationBudgetError.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
@@ -494,51 +473,30 @@ def _join_pass(tables, v, cutoff, max_frontier, bounds):
 
     Each merge multiplies out the two config tables with their exact cross
     interaction and keeps a combination only when the chain messages from
-    both sides (``bounds``, sent here when None) cannot rule it out.  Pairs
-    whose product would exceed ``_JOIN_CAP`` entries are left for the frontier
-    sweep instead.
+    both sides (``bounds``, sent here when None) cannot rule it out.  A
+    trailing odd table passes through unchanged.  No table may be empty.
     """
-    if len(tables) < 2:
-        return tables, False
     fin, bin_ = bounds or _chain_bounds(tables, v)
-    out, joined, i = [], False, 0
-    while i < len(tables):
-        if i + 1 < len(tables):
-            (aa, occa, ea), (ab, occb, eb) = tables[i], tables[i + 1]
-            if len(ea) * len(eb) <= _JOIN_CAP:
-                fields = occa @ v[aa[:, None], ab]
-                occs, es, kept = [], [], 0
-                step = max(1, (1 << 22) // max(1, len(eb)))
-                for s in range(0, len(ea), step):
-                    e2 = ea[s : s + step, None] + fields[s : s + step] @ occb.T
-                    e2 += eb[None, :]
-                    bound = e2 + fin[i][s : s + step, None] + bin_[i + 1][None, :]
-                    ia, ib = np.nonzero(bound <= cutoff)
-                    if len(ia) == 0:
-                        continue
-                    occs.append(
-                        np.concatenate([occa[s + ia], occb[ib]], axis=1)
-                    )
-                    es.append(e2[ia, ib])
-                    kept += len(ia)
-                    if kept > max_frontier:
-                        raise EnumerationBudgetError(
-                            f"spectrum block table exceeded {max_frontier}"
-                            " configurations"
-                        )
-                if occs:
-                    occ = np.concatenate(occs, axis=0)
-                    e2 = np.concatenate(es)
-                else:
-                    occ = np.zeros((0, len(aa) + len(ab)))
-                    e2 = np.zeros(0)
-                out.append((np.concatenate([aa, ab]), occ, e2))
-                joined = True
-                i += 2
-                continue
-        out.append(tables[i])
-        i += 1
-    return out, joined
+    out = []
+    for i in range(0, len(tables) - 1, 2):
+        (aa, occa, ea), (ab, occb, eb) = tables[i], tables[i + 1]
+        fields = occa @ v[aa[:, None], ab]
+        occs, es, kept = [], [], 0
+        step = max(1, (1 << 22) // len(eb))
+        for s in range(0, len(ea), step):
+            e2 = ea[s : s + step, None] + fields[s : s + step] @ occb.T
+            e2 += eb[None, :]
+            bound = e2 + fin[i][s : s + step, None] + bin_[i + 1][None, :]
+            ia, ib = np.nonzero(bound <= cutoff)
+            occs.append(np.concatenate([occa[s + ia], occb[ib]], axis=1))
+            es.append(e2[ia, ib])
+            kept += len(ia)
+            if kept > max_frontier:
+                raise EnumerationBudgetError(
+                    f"spectrum block table exceeded {max_frontier} configurations"
+                )
+        out.append((np.concatenate([aa, ab]), np.concatenate(occs), np.concatenate(es)))
+    return out + tables[len(out) * 2 :]
 
 
 def _decode(tables, fin, v):
@@ -561,7 +519,7 @@ def _decode(tables, fin, v):
 
 
 def _block_enumerate(pos, det, c6, window, hints, max_frontier):
-    """(energy, mask) pairs of the window, and the peak table or frontier size."""
+    """(energy, mask) pairs of the window, and the peak block table size."""
     n = len(pos)
     v = pair_matrix(pos, c6)
     slack = window + 1e-9
@@ -571,9 +529,8 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     # shrinks the tables further, merging doubles the block width, and
     # wider blocks make both tighter still (more of each atom's field is
     # inside its block, and the dropped non-adjacent couplings move further
-    # apart and die off like 1/r^6).  For layouts that thin out fast this
-    # ends with a single exact table; otherwise the frontier sweep below
-    # finishes the job.
+    # apart and die off like 1/r^6).  Each join pass halves the number of
+    # tables, so the cascade ends with a single exact table.
     tables = [
         _flip_prune(_config_table(b, det, v, slack), det, v, slack)
         for b in _sweep_blocks(v)
@@ -589,55 +546,18 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     cutoff = min(0.0, float(_energies(np.array(rows), det, v).min())) + slack
     tables, bounds = _path_prune(tables, v, cutoff, bounds)
     while len(tables) > 1 and all(len(t[2]) for t in tables):
-        tables, joined = _join_pass(tables, v, cutoff, max_frontier, bounds)
-        if not joined:
-            break
+        tables = _join_pass(tables, v, cutoff, max_frontier, bounds)
         tables = [_flip_prune(t, det, v, slack) for t in tables]
         peak = max(peak, *(len(t[2]) for t in tables))
         tables, bounds = _path_prune(tables, v, cutoff, None)
     if not all(len(t[2]) for t in tables):
         return [], peak
-    _, bin_ = bounds or _chain_bounds(tables, v)
-    atoms0, occ0, e0s = tables[0]
-    keep0 = np.nonzero(e0s + bin_[0] <= cutoff)[0]
-    focc = (occ0[keep0] > 0.5).astype(np.uint8)
-    fe = e0s[keep0]
-    done = atoms0
-    for k in range(1, len(tables)):
-        blk, occ, e = tables[k]
-        vcross = v[done[:, None], blk]
-        occ8 = (occ > 0.5).astype(np.uint8)
-        out_occ, out_e, grown = [], [], 0
-        fchunk = max(64, (1 << 22) // max(1, len(e)))
-        for start in range(0, len(fe), fchunk):
-            fo = focc[start : start + fchunk].astype(float)
-            fen = fe[start : start + fchunk]
-            # exact energy of partial + new block (all couplings to every
-            # already-placed atom), plus the completion message: drops only
-            # the partial's coupling to blocks beyond k+1
-            etot = fen[:, None] + (fo @ vcross) @ occ.T + e[None, :]
-            fi, ci = np.nonzero(etot + bin_[k][None, :] <= cutoff)
-            if len(fi) == 0:
-                continue
-            out_e.append(etot[fi, ci])
-            out_occ.append(np.concatenate([focc[start + fi], occ8[ci]], axis=1))
-            grown += len(fi)
-            if grown > max_frontier:
-                raise EnumerationBudgetError(
-                    f"spectrum frontier exceeded {max_frontier}"
-                    " partial configurations"
-                )
-        if not out_e:
-            return [], peak
-        fe = np.concatenate(out_e)
-        focc = np.vstack(out_occ)
-        peak = max(peak, len(fe))
-        done = np.concatenate([done, blk])
-    # The frontier energies were summed block by block, so their last bits
+    # The table's energies were summed block by block, so their last bits
     # depend on the partition.  Rescore the states near the bottom row by
     # row in atom order and cut the window on those energies; the margin
     # covers the rounding between the two sums.
-    near = focc[fe <= fe.min() + window + 1e-9][:, np.argsort(done)]
+    ((atoms, occ, e),) = tables
+    near = (occ[e <= e.min() + window + 1e-9] > 0.5)[:, np.argsort(atoms)]
     es = _energies(near, det, v)
     keep = es <= es.min() + window + 1e-12
     return list(zip(es[keep].tolist(), _row_masks(near[keep]))), peak

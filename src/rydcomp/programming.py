@@ -1015,7 +1015,7 @@ def balance_open_ports(gadget: Gadget, config):
     gadget-plus-anchor system, to ``_BALANCE_TOL`` in units of the
     nearest-neighbour pair energy.  Each logical state gets one ``physics.moving_energy``
     kernel with the anchors as its moving atoms, so a trial distance
-    recomputes only the anchor pairs, bitwise equal to ``diagonal_energy``
+    recomputes only the anchor pairs, bitwise equal to the full pair sum
     on the stacked layout.  Each root solve's bracket scan goes through the
     kernels' batch forms in one pass, so the roots are those of the scalar
     kernels alone.  Only this polish is specific to free-standing gadgets.

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 
+from rydcomp.errors import GeometryError
+from rydcomp.physics import _COINCIDENT
 from rydcomp.programming import _PORT_SHARES, _TRANSFER, required_splitting
 
 
@@ -53,12 +55,36 @@ def step_energy(g, detunings, coupling, config: int) -> float:
     return e
 
 
+def diagonal_energy(positions, detunings, config: int, c6):
+    """Energy of one occupation pattern under van der Waals pairs ``c6 / r**6``.
+
+    The reference pair sum: ``-sum detunings`` over the excited atoms, then
+    each excited pair ``a < b`` added left to right, the order in which
+    ``physics.moving_energy`` adds them.  Raises GeometryError when two
+    *excited* atoms coincide, since the energy is then undefined.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    det = np.broadcast_to(np.asarray(detunings, dtype=float), (n,))
+    idx = [i for i in range(n) if (config >> i) & 1]
+    e = -float(det[idx].sum()) if idx else 0.0
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            d2 = float(((pos[idx[a]] - pos[idx[b]]) ** 2).sum())
+            if d2 < _COINCIDENT**2:
+                raise GeometryError(
+                    f"excited atoms {idx[a]} and {idx[b]} coincide"
+                )
+            e += c6 / d2**3
+    return e
+
+
 def matrix_energy(pair_energy, detunings, config: int) -> float:
     """Energy of one pattern under a precomputed symmetric pair matrix.
 
     ``-sum detunings`` over the excited atoms plus ``pair_energy[a, b]`` for
     every excited pair ``a < b``: the van der Waals sum of
-    ``physics.diagonal_energy`` with the pair model swapped, e.g. for a step
+    :func:`diagonal_energy` with the pair model swapped, e.g. for a step
     potential.
     """
     pe = np.asarray(pair_energy, dtype=float)

@@ -287,10 +287,20 @@ class TestVerify:
             assert report["truncated"] and report["logical_band"]["count"] == band
             assert not report["verified"]
 
-    @pytest.mark.parametrize("spec", ["hexagon", "link:4", "link:2"])
+    @pytest.mark.parametrize("spec", ["hexagon", "link:4", "link:2", "link:", "kite:"])
     def test_bad_gadget_spec(self, tmp_path, spec):
         code, _ = run(tmp_path, "verify", "--problem", spec)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("link:", "bad link length ''"), ("kite:", "kite does not take a size")],
+    )
+    def test_empty_gadget_size_is_named(self, tmp_path, capsys, spec, message):
+        # a ':' with nothing after it is a size, not the default one
+        code, _ = run(tmp_path, "verify", "--problem", spec)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
 
     def test_sized_non_link_gadget_rejected(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--problem", "kite:4")

@@ -19,7 +19,7 @@ from rydcomp.parity import compile_parity, decompose_all
 from rydcomp.problems import parse_problem
 from rydcomp.programming import balance_open_ports, homogenize, tail_compensate
 
-from oracles import exhaustive_table, matrix_energy
+from oracles import diagonal_energy, exhaustive_table, matrix_energy
 
 
 def brute_energy(positions, detunings, mask, c6):
@@ -104,32 +104,39 @@ class TestPairEnergies:
             physics.pair_matrix([[0.0, 0.0], [0.0, 0.0]], 1.0)
 
 
+def pair_sum(positions, detunings, mask, c6):
+    """The package's pair sum of one pattern: ``moving_energy`` with nothing moving."""
+    return physics.moving_energy(positions, detunings, mask, c6, ())([])
+
+
 class TestDiagonalEnergy:
+    """The package's pair sum, and the ``oracles.diagonal_energy`` reference."""
+
     def test_alternating_chain_energy(self):
         # five atoms at unit spacing, every other one excited, ratio 3:
         # -3*detuning + U0*(1/64 + 1/64 + 1/4096)
         pos = chain(5)
         mask = physics.mask_of([0, 2, 4])
-        e = physics.diagonal_energy(pos, 1.0, mask, c6=3.0)
+        e = pair_sum(pos, 1.0, mask, c6=3.0)
         assert e == pytest.approx(-3.0 + 3.0 * (2.0 / 64.0 + 1.0 / 4096.0))
 
     def test_empty_and_single(self):
         pos = chain(3)
-        assert physics.diagonal_energy(pos, 1.0, 0, c6=3.0) == 0.0
-        assert physics.diagonal_energy(pos, 1.0, 0b010, c6=3.0) == pytest.approx(-1.0)
+        assert pair_sum(pos, 1.0, 0, c6=3.0) == 0.0
+        assert pair_sum(pos, 1.0, 0b010, c6=3.0) == pytest.approx(-1.0)
 
     def test_site_detunings_vector(self):
         pos = chain(3)
         det = [0.5, 1.0, 2.0]
-        e = physics.diagonal_energy(pos, det, 0b101, c6=1.0)
+        e = pair_sum(pos, det, 0b101, c6=1.0)
         assert e == pytest.approx(-2.5 + 1.0 / 64.0)
 
     def test_coincident_excited_raises(self):
         pos = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(GeometryError):
-            physics.diagonal_energy(pos, 1.0, 0b011, c6=1.0)
+            pair_sum(pos, 1.0, 0b011, c6=1.0)
         # coincidence between a ground-state atom and anything is tolerated
-        e = physics.diagonal_energy(pos, 1.0, 0b101, c6=1.0)
+        e = pair_sum(pos, 1.0, 0b101, c6=1.0)
         assert e == pytest.approx(-2.0 + 1.0)
 
     def test_pair_energy_override(self):
@@ -147,7 +154,7 @@ class TestDiagonalEnergy:
         pos = rng.uniform(0, 5, size=(6, 2))
         det = rng.uniform(0.5, 2.0, size=6)
         expected = brute_energy(pos, det, mask, 2.7)
-        got = physics.diagonal_energy(pos, det, mask, c6=2.7)
+        got = diagonal_energy(pos, det, mask, c6=2.7)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -180,7 +187,7 @@ class TestMovingEnergy:
             m = state | physics.mask_of(anchors)
             f = physics.moving_energy(placeholder, cfg.detuning, m, cfg.c6, anchors)
             try:
-                expected = physics.diagonal_energy(pos, cfg.detuning, m, cfg.c6)
+                expected = diagonal_energy(pos, cfg.detuning, m, cfg.c6)
             except GeometryError:
                 with pytest.raises(GeometryError):
                     f(rows)
@@ -200,7 +207,7 @@ class TestMovingEnergy:
         moving = nodes_of(moving_mask, 6)
         f = physics.moving_energy(pos, det, mask, 2.7, moving)
         pos[moving] = rng.uniform(0, 5, size=(len(moving), 2))
-        assert f(pos[moving]) == physics.diagonal_energy(pos, det, mask, c6=2.7)
+        assert f(pos[moving]) == diagonal_energy(pos, det, mask, c6=2.7)
 
     @given(
         st.integers(min_value=2, max_value=30),
@@ -242,14 +249,14 @@ class TestMovingEnergy:
     def test_idle_moving_atom_has_no_pairs(self):
         pos = chain(4)
         f = physics.moving_energy(pos, 1.0, 0b0101, 3.0, (1,))
-        expected = physics.diagonal_energy(pos, 1.0, 0b0101, c6=3.0)
+        expected = diagonal_energy(pos, 1.0, 0b0101, c6=3.0)
         assert f([[0.0, 0.0]]) == expected
         assert f([[2.0, 0.0]]) == expected
 
     def test_nothing_moving(self):
         pos = chain(5)
         f = physics.moving_energy(pos, 1.0, 0b10101, 3.0, ())
-        assert f([]) == physics.diagonal_energy(pos, 1.0, 0b10101, c6=3.0)
+        assert f([]) == diagonal_energy(pos, 1.0, 0b10101, c6=3.0)
 
     def test_moving_onto_excited_atom_raises(self):
         pos = chain(3)
@@ -257,7 +264,7 @@ class TestMovingEnergy:
         on_top = pos.copy()
         on_top[2] = pos[0]
         with pytest.raises(GeometryError):
-            physics.diagonal_energy(on_top, 1.0, 0b111, c6=1.0)
+            diagonal_energy(on_top, 1.0, 0b111, c6=1.0)
         with pytest.raises(GeometryError):
             f([pos[0]])
 
@@ -341,37 +348,45 @@ class TestSpectrumBlocks:
         return np.array(pts)
 
     def test_agrees_with_dense_oracle(self):
+        # 22 atoms make three sweep blocks, so the tables meet over two join
+        # passes; once at uniform detuning and once at seeded site detunings
         pos = self._layout(22)
-        det = 1.0
+        n = len(pos)
+        dets = [np.ones(n), np.random.default_rng(7).uniform(0.5, 1.1, n)]
         c6 = 2.0
         window = 1.2
-        res = physics.spectrum(pos, det, c6, window, hint_configs=())
+        assert len(physics._sweep_blocks(physics.pair_matrix(pos, c6))) == 3
         # oracle: chunked dense enumeration written here, independent of the
-        # module's internals
-        n = len(pos)
+        # module's internals; a row above the running best plus the window
+        # stays above the final one
         v = np.zeros((n, n))
         for i in range(n):
             for j in range(n):
                 if i != j:
                     v[i, j] = c6 / math.dist(pos[i], pos[j]) ** 6
-        best = np.inf
-        kept = []
+        best = [np.inf] * len(dets)
+        kept = [[] for _ in dets]
         cols = np.arange(n, dtype=np.uint64)
         for start in range(0, 2**n, 2**16):
             masks = np.arange(start, min(start + 2**16, 2**n), dtype=np.uint64)
             occ = ((masks[:, None] >> cols) & np.uint64(1)).astype(float)
-            e = -occ.sum(1) * det + 0.5 * np.einsum("ij,ij->i", occ @ v, occ)
-            best = min(best, float(e.min()))
-            kept.append((masks, e))
-        want = []
-        for masks, e in kept:
-            sel = e <= best + window + 1e-12
-            want.extend(zip(e[sel].tolist(), masks[sel].tolist()))
-        want.sort(key=lambda t: (t[0], t[1]))
-        assert len(res.entries) == len(want)
-        for ent, (e, m) in zip(res.entries, want):
-            assert ent.config == m
-            assert ent.energy == pytest.approx(e, abs=1e-9)
+            pair = 0.5 * np.einsum("ij,ij->i", occ @ v, occ)
+            for k, det in enumerate(dets):
+                e = pair - occ @ det
+                best[k] = min(best[k], float(e.min()))
+                sel = e <= best[k] + window + 1e-12
+                kept[k].append((masks[sel], e[sel]))
+        for det, low, rows in zip(dets, best, kept):
+            res = physics.spectrum(pos, det, c6, window, hint_configs=())
+            want = []
+            for masks, e in rows:
+                sel = e <= low + window + 1e-12
+                want.extend(zip(e[sel].tolist(), masks[sel].tolist()))
+            want.sort(key=lambda t: (t[0], t[1]))
+            assert len(res.entries) == len(want)
+            for ent, (e, m) in zip(res.entries, want):
+                assert ent.config == m
+                assert ent.energy == pytest.approx(e, abs=1e-9)
 
     def test_hints_do_not_change_result(self):
         pos = self._layout(22, seed=5)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import anchored_requirement, chain_sum
+from oracles import anchored_requirement, chain_sum, diagonal_energy
 
 from rydcomp import cli, programming
 
@@ -24,7 +24,7 @@ from rydcomp.errors import NoRootInRange, ValidationError
 from rydcomp.gadgets import make_gadget
 from rydcomp.mwis import solve_mwis, ud_graph
 from rydcomp.parity import compile_parity, decompose_all, parity_energy
-from rydcomp.physics import PhysicsConfig, batch_pair_sum, diagonal_energy, spectrum
+from rydcomp.physics import PhysicsConfig, batch_pair_sum, spectrum
 from rydcomp.problems import parse_problem
 from rydcomp.programming import (
     _assign_module_pairs,
@@ -875,7 +875,11 @@ class TestAnchors:
         ground = [e for e in res.entries if e.energy <= res.ground_energy + 1e-9 * unit]
         assert ground and all(e.logical for e in ground)
         assert {e.config for e in res.entries[: len(masks)]} == set(masks)
-        assert res.peak_table <= 5000
+        # the spectrum joins its tables over several passes: the window
+        # holds 256 states and the largest joined table 2,389 rows, so a
+        # change to what a join keeps moves one of them
+        assert len(res.entries) == 256
+        assert res.peak_table == 2389
 
 
 class TestBalanceOpenPorts:
