@@ -36,7 +36,7 @@ from . import reports
 from .errors import GeometryError, ProblemFormatError, RydcompError, ValidationError
 from .gadgets import KINDS, make_gadget
 from .parity import compile_parity, decode, decompose_all
-from .physics import PhysicsConfig, mask_of, moving_energy, spectrum
+from .physics import PhysicsConfig, energies, mask_of, probe_sum, spectrum
 from .problems import brute_force_optimum, evaluate, load_problem, parse_problem
 from .programming import balance_open_ports, build_global_layout, solve_bracketed
 
@@ -93,6 +93,12 @@ class LinkTestbed:
 
 
 def build_link_testbed(config: PhysicsConfig, length: int = 5) -> LinkTestbed:
+    """The sweep's link, end anchors and root-solved programming anchor.
+
+    All three anchors are excited in both states, so their own terms cancel
+    from the split: the height solves the anchor's ``physics.probe_sum``
+    over ``occ_on - occ_off`` against the bare layout's ``E_off - E_on``.
+    """
     if length < 5 or length % 2 == 0:
         raise ValidationError(f"sweep testbed needs an odd link length >= 5, got {length}")
     gadget = make_gadget("link", config=config, length=length)
@@ -111,21 +117,13 @@ def build_link_testbed(config: PhysicsConfig, length: int = 5) -> LinkTestbed:
     ) | anchor_bits
     det = config.detuning
     x = float(pos[center, 0])
-    top = np.vstack([base, [x, 0.5 * d]])
-    e_on, e_off = (
-        moving_energy(top, det, m, config.c6, (length + 2,))
-        for m in (center_on, center_off)
+    e_on, e_off = energies(base, det, (center_on, center_off), config.c6).tolist()
+    flips = [(center_on >> a & 1) - (center_off >> a & 1) for a in range(len(base))]
+    pull = probe_sum(base, flips, config.c6)
+    height = solve_bracketed(
+        lambda y: pull((x, y)), 0.5 * d, 5.0 * d, target=e_off - e_on, tol=1e-13 * det,
+        scan=lambda ys: pull.batch(np.stack([np.full(len(ys), x), ys], axis=1)),
     )
-
-    def split(y):
-        return e_on([(x, y)]) - e_off([(x, y)])
-
-    def split_batch(ys):
-        rows = np.stack([np.full(len(ys), x), ys], axis=1)[:, None, :]
-        (v_on, b_on), (v_off, b_off) = e_on.batch(rows), e_off.batch(rows)
-        return v_on - v_off, b_on + b_off
-
-    height = solve_bracketed(split, 0.5 * d, 5.0 * d, tol=1e-13 * det, scan=split_batch)
     positions = np.vstack([base, [x, height]])
     return LinkTestbed(config, positions, center_on, center_off, length + 2, height)
 
@@ -149,18 +147,14 @@ def sweep_anchor_height(testbed: LinkTestbed, deltas, *, window_fraction: float)
     cfg = testbed.config
     c6, d, unit = cfg.c6, cfg.spacing, cfg.energy_unit
     a = testbed.anchor_index
-    x = float(testbed.positions[a, 0])
-    on, off = (
-        moving_energy(testbed.positions, cfg.detuning, m, c6, (a,))
-        for m in (testbed.center_on, testbed.center_off)
-    )
+    masks = (testbed.center_on, testbed.center_off)
     rows = []
     for k, delta in enumerate(deltas):
         y = testbed.height + delta
         pos = testbed.positions.copy()
         pos[a, 1] = y
         _guard_overlap(pos, d, f"dy={delta!r}")
-        e_on, e_off = on([(x, y)]), off([(x, y)])
+        e_on, e_off = energies(pos, cfg.detuning, masks, c6).tolist()
         first = c6 / y**6
         second = first - 2.0 * c6 / (d * d + y * y) ** 3
         found = spectrum(pos, cfg.detuning, c6, window=window_fraction * unit)
@@ -282,9 +276,10 @@ def _verify_layout(rc, config, title, positions, masks, anchor_mask, hashes, che
     _say(f"states in window: {len(result.entries)}")
     _say(f"largest block table: {result.peak_table} rows")
     if band is not None:
-        _say(f"logical band: {band['count']}/{len(masks)} states, spread {band['spread']:.3e}")
+        spread = f"spread {band['spread']:.3e} (energy units)"
+        _say(f"logical band: {band['count']}/{len(masks)} states, {spread}")
     if "gap_to_bulk" in report:
-        _say(f"gap to first bulk state: {report['gap_to_bulk']:.3e}")
+        _say(f"gap to first bulk state: {report['gap_to_bulk']:.3e} (energy units)")
     _say(f"ground states logical: {report['ground_all_logical']}")
     _say(f"anchors excited: {report['anchors_excited']}")
     if "decode_consistent" in report:

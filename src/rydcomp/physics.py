@@ -7,12 +7,12 @@ Atoms are treated as classical occupation patterns of the diagonal Hamiltonian
 with a global, resonant drive (so the drive amplitude never enters the
 energies; it is recorded on the config purely for layout documents).
 Occupation patterns are plain integer bitmasks with atom ``i`` on bit ``i``.
-``moving_energy`` is the pair-sum kernel for root solving: it fixes one
-pattern and recomputes only the pairs of the atoms that move, adding every
-term in one fixed order, so a value does not depend on which atoms move.  Its
-``batch`` form scores many placements at once through ``batch_pair_sum``,
-which returns each value with a bound on how far it may sit from the
-scalar call; root solvers trust a batched sign only outside that bound.
+Whole patterns are scored over ``pair_matrix`` (``energies``, the spectra).
+Every anchor root solve runs on ``probe_sum``, the signed pair sum that probe
+atoms feel from fixed sites.  Its ``batch`` form scores many placements at
+once through ``batch_pair_sum``, which returns each value with a bound on how
+far it may sit from the scalar call; root solvers trust a batched sign only
+outside that bound.
 
 Spectra are exact: no interaction tails are ever truncated.  Every layout,
 from one atom up, goes through one spatial-block branch-and-bound whose
@@ -33,9 +33,6 @@ on how the atoms were cut into blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
-from operator import add
 
 import numpy as np
 
@@ -91,7 +88,7 @@ def pair_matrix(positions, c6):
 
     Raises GeometryError if any two atoms coincide.
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = _planar(positions)
     n = len(pos)
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff**2).sum(-1))
@@ -101,6 +98,12 @@ def pair_matrix(positions, c6):
     v = np.zeros((n, n))
     v[off] = c6 / dist[off] ** 6
     return v
+
+
+def _planar(positions):
+    """Positions as float ``(x, y)`` rows; an empty list is zero rows."""
+    pos = np.asarray(positions, dtype=float)
+    return pos.reshape(0, 2) if pos.size == 0 else pos
 
 
 def mask_of(nodes) -> int:
@@ -120,15 +123,14 @@ def bitstring(mask: int, n: int) -> str:
     return format(mask & ((1 << n) - 1) | 1 << n, "b")[:0:-1]
 
 
-def batch_pair_sum(dx, dy, coeff, *, fixed=0.0, fixed_abs=0.0, n_fixed=0):
-    """Rows of ``fixed + sum_s coeff_s / d2_s**3`` and a bound on their rounding.
+def batch_pair_sum(dx, dy, coeff):
+    """Rows of ``sum_s coeff_s / d2_s**3`` and a bound on their rounding.
 
-    One row per placement: ``dx``/``dy`` are the planar offsets of the pairs
-    that move, formed with the scalar call's operations, so ``d2 = dx*dx +
-    dy*dy`` is bitwise the scalar's.  ``fixed`` is the scalar call's sum of
-    its other ``n_fixed`` summands and ``fixed_abs`` their absolute sum.
-    Returns ``(values, bounds)``: ``|value - scalar| <= bound`` for a scalar
-    call that sums the same terms in any order with ``c / d2**3``.  Why:
+    One row per placement: ``dx``/``dy`` are the planar offsets of its
+    pairs, formed with the scalar call's operations, so ``d2 = dx*dx +
+    dy*dy`` is bitwise the scalar's.  Returns ``(values, bounds)``:
+    ``|value - scalar| <= bound`` for a scalar call that sums the same terms
+    in any order with ``c / d2**3``.  Why:
 
     - the cube is ``d2*d2*d2`` (two roundings) in place of ``d2**3`` (one
       ``pow``, within an ulp), and each term is one correctly rounded
@@ -139,92 +141,62 @@ def batch_pair_sum(dx, dy, coeff, *, fixed=0.0, fixed_abs=0.0, n_fixed=0):
 
     Together that is ``(n+2)*eps*M``; the bound is ``2*(n+8)*eps*M``.  The
     slack covers a numpy ``pow`` a few ulps off, second-order terms, the
-    rounding of the bound itself and of the caller's sign test, and one
-    subtraction of two such sums, whose bounds then simply add.  A row with
+    rounding of the bound itself and of the caller's sign test.  A row with
     a pair closer than the coincidence limit gets an infinite bound, so a
     caller re-scores it with the scalar call and sees that call's error.
     """
     d2 = dx * dx + dy * dy
     close = d2 < _COINCIDENT**2
     terms = coeff / np.where(close, 1.0, d2 * d2 * d2)
-    values = fixed + terms.sum(axis=1)
-    n = n_fixed + terms.shape[1]
-    bounds = 2.0 * (n + 8) * _EPS * (fixed_abs + np.abs(terms).sum(axis=1))
+    bounds = 2.0 * (terms.shape[1] + 8) * _EPS * np.abs(terms).sum(axis=1)
     bounds[close.any(axis=1)] = np.inf
-    return values, bounds
+    return terms.sum(axis=1), bounds
 
 
-def moving_energy(positions, detunings, config: int, c6, moving=()):
-    """Energy of one pattern as a function of where some atoms sit.
+def probe_sum(sites, coeff, c6):
+    """``f(q)``: the pair sum ``sum coeff_s * c6 / r**6`` of probes at ``q``.
 
-    Returns ``f(rows)``: the energy of ``config`` when atom ``moving[k]`` sits
-    at ``rows[k]`` and every other atom stays at ``positions`` (the rows given
-    there for the moving atoms are ignored).  The energy is ``-sum detuning``
-    over the excited atoms plus ``c6 / r**6`` per excited pair.  The head and
-    the fixed-fixed pair terms are computed once, in ``(a < b)`` order over
-    the excited atoms; a call recomputes only the pairs that touch an excited
-    moving atom and then adds the terms one by one in that order, so the
-    result is bitwise the full pair sum in that order, whichever atoms move.
-    Raises GeometryError when two excited atoms coincide, since the energy
-    is then undefined.  Positions are planar ``(x, y)`` rows.
-
-    ``f.batch(rows)`` scores Y placements at once, ``rows`` of shape
-    ``(Y, len(moving), 2)``, from the same slot table.  It returns the values
-    and, per value, a bound on its distance from ``f`` on the same rows (see
-    :func:`batch_pair_sum`); it never raises.
+    ``q`` is one probe ``(2,)`` or several ``(k, 2)``; the value is one
+    ``np.sum`` of ``wts * c6 / d2**3`` over every (probe, site) pair whose
+    site has a nonzero coefficient.  The energy split of two states that
+    both excite the probes moves only by such a sum over the difference of
+    their occupations, so it serves every anchor root solve.
+    ``f.batch(qs)`` scores ``qs`` of shape ``(Y, 2)`` or ``(Y, k, 2)`` at
+    once, with a bound per value as :func:`batch_pair_sum` gives it.
     """
-    pos = np.asarray(positions, dtype=float)
+    idx = np.flatnonzero(coeff)
+    pts = np.asarray(sites, dtype=float)[idx]
+    wts = np.asarray(coeff, dtype=float)[idx]
+
+    def f(q):
+        d2 = ((pts - np.asarray(q, dtype=float)[..., None, :]) ** 2).sum(axis=-1)
+        return float(np.sum(wts * c6 / d2**3))
+
+    px, py = pts.T
+    wc = wts * c6  # the scalar's wts * c6, rounded the same way
+
+    def batch(qs):
+        qs = np.asarray(qs, dtype=float).reshape(len(qs), -1, 2)
+        dx = (px - qs[..., :1]).reshape(len(qs), -1)
+        dy = (py - qs[..., 1:]).reshape(len(qs), -1)
+        return batch_pair_sum(dx, dy, np.tile(wc, qs.shape[1]))
+
+    f.batch = batch
+    return f
+
+
+def energies(positions, detunings, masks, c6):
+    """Diagonal energies of whole occupation patterns of one layout.
+
+    ``-sum detuning`` over each mask's excited atoms plus ``c6 / r**6`` per
+    excited pair, scored over the full :func:`pair_matrix` as the spectrum
+    scores its window, so it raises GeometryError when two atoms coincide.
+    """
+    pos = _planar(positions)
     n = len(pos)
     det = np.broadcast_to(np.asarray(detunings, dtype=float), (n,))
-    idx = [i for i in range(n) if (config >> i) & 1]
-    head = -float(det[idx].sum()) if idx else 0.0
-    row_of = {i: k for k, i in enumerate(moving)}
-    pts = pos.tolist()
-    terms, slots, fixed = [], [], []
-    for i, j in combinations(idx, 2):
-        if i in row_of or j in row_of:
-            slots.append((len(terms), i, j, row_of.get(i), row_of.get(j)))
-            terms.append(0.0)
-            continue
-        d2 = float(((pos[i] - pos[j]) ** 2).sum())
-        if d2 < _COINCIDENT**2:
-            raise GeometryError(f"excited atoms {i} and {j} coincide")
-        terms.append(c6 / d2**3)
-        fixed.append(terms[-1])
-
-    def energy(rows):
-        for t, i, j, ri, rj in slots:
-            px, py = pts[i] if ri is None else rows[ri]
-            qx, qy = pts[j] if rj is None else rows[rj]
-            dx = px - qx
-            dy = py - qy
-            d2 = dx * dx + dy * dy  # what numpy's two-term sum gives
-            if d2 < _COINCIDENT**2:
-                raise GeometryError(f"excited atoms {i} and {j} coincide")
-            terms[t] = c6 / d2**3
-        return reduce(add, terms, head)  # left to right, in pair order
-
-    # a placement is one table [moving rows | positions]; per slot, the
-    # columns its two atoms take there
-    m = len(moving)
-    ci, cj = np.array(
-        [(m + i if a is None else a, m + j if b is None else b) for _, i, j, a, b in slots],
-        dtype=int,
-    ).reshape(-1, 2).T
-    base = reduce(add, fixed, head)
-    base_abs = abs(head) + sum(abs(t) for t in fixed)
-
-    def batch(rows):
-        table = np.empty((len(rows), m + n, 2))
-        table[:, :m] = rows
-        table[:, m:] = pos
-        d = table[:, ci] - table[:, cj]  # the scalar's px - qx and py - qy
-        return batch_pair_sum(
-            d[..., 0], d[..., 1], c6, fixed=base, fixed_abs=base_abs, n_fixed=len(fixed) + 1
-        )
-
-    energy.batch = batch
-    return energy
+    occ = np.array([[(int(m) >> a) & 1 for a in range(n)] for m in masks], dtype=float)
+    return _energies(occ.reshape(len(masks), n), det, pair_matrix(pos, c6))
 
 
 @dataclass(frozen=True)
@@ -273,12 +245,16 @@ def spectrum(
     lowest real state known: the empty pattern, the state the chain
     messages decode to, and ``hint_configs`` (known low-lying masks, e.g.
     the intended logical states).  The decoded state lies within a few
-    thousandths of a detuning of the ground state on the package's chains
-    and kite grids, so hints rarely change the work done there, and they
-    never change the result.  ``max_frontier`` bounds the rows any joined
-    table may keep; a join that keeps more raises EnumerationBudgetError.
+    thousandths of a detuning of the ground state on chains and on the
+    anchored kite grids up to ``K_{2,5}``, but from ``K_{2,6}`` on it lies
+    0.2 to 0.3 detunings above it (0.218, 0.186 and 0.262 on ``K_{2,6}``,
+    ``K_{2,8}`` and ``K_{2,10}``).  On those grids the hints are what keeps
+    the tables small; they never change the result.  ``max_frontier``
+    bounds the rows any joined table may keep; a join that keeps more
+    raises EnumerationBudgetError.  A layout of no atoms has the empty
+    pattern as its whole spectrum.
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = _planar(positions)
     n = len(pos)
     if window < 0:
         raise ValidationError("window must be non-negative")
@@ -521,6 +497,8 @@ def _decode(tables, fin, v):
 def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     """(energy, mask) pairs of the window, and the peak block table size."""
     n = len(pos)
+    if n == 0:
+        return [(0.0, 0)], 0  # the empty pattern is the whole spectrum
     v = pair_matrix(pos, c6)
     slack = window + 1e-9
     # Prune-and-merge cascade: each fresh table holds only the configs
@@ -539,8 +517,9 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     bounds = _chain_bounds(tables, v)
     # The cutoff is the lowest energy of a real state known, plus the window:
     # the empty pattern, the hints, and the state the chain messages decode
-    # to.  Along sweep blocks the decoded state lies within a few thousandths
-    # of a detuning of the ground state on chains and on kite grids alike.
+    # to.  The decoded state is close to the ground state on chains, but on
+    # kite grids from K_{2,6} on it lies 0.2-0.3 detunings above it, so
+    # there the hints set the cutoff and keep the tables small.
     rows = [_decode(tables, bounds[0], v)]
     rows += [[(int(h) >> a) & 1 for a in range(n)] for h in hints]
     cutoff = min(0.0, float(_energies(np.array(rows), det, v).min())) + slack

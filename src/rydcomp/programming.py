@@ -22,15 +22,15 @@ gap in three exact bookkeeping steps plus one geometric one:
 4. ``build_global_layout`` runs the full pipeline and returns atom
    positions plus one uniform detuning per atom.
 
-Every anchor distance is one root solve (``solve_bracketed``): a bracket
-scan over 128 samples, bisection and a secant polish.  The scan scores its
-samples left to right, 32 at a time, through the batch forms of
-``service_functional`` and ``physics.moving_energy`` and stops at the first
-chunk that holds a crossing.  Bisection scores the midpoints on its path
-toward a secant guess in one more batch.  A sign is taken from a batch only
-where its rounding bound certifies it, and every other sample or midpoint
-calls the scalar functional, so every root is bit for bit the one the
-scalar functional alone gives, at about a quarter of its scalar calls.
+Every anchor distance is one root solve (``solve_bracketed``) on one
+``physics.probe_sum``: a bracket scan over 128 samples, bisection and a
+secant polish.  The scan scores its samples left to right, 32 at a time,
+through the sum's batch form and stops at the first chunk that holds a
+crossing.  Bisection scores the midpoints on its path toward a secant guess
+in one more batch.  A sign is taken from a batch only where its rounding
+bound certifies it, and every other sample or midpoint calls the scalar
+functional, so every root is bit for bit the one the scalar functional
+alone gives, at about a quarter of its scalar calls.
 
 A free-standing gadget is compensated and homogenised by the same
 ``tail_compensate`` and ``homogenize``, as a one-element instance
@@ -58,7 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .gadgets import Gadget
-from .physics import batch_pair_sum, mask_of, moving_energy, pair_matrix
+from .physics import energies, mask_of, pair_matrix, probe_sum
 
 # Sweeping a slot deposit onto the ports: the half-difference map sends the
 # per-state deposits (a, b, c) to port increments that move every logical
@@ -158,7 +158,7 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
 
     ``scan(ys)`` scores many samples at once: it returns estimates of
     ``fn`` at the float array ``ys`` and, per estimate, an absolute bound on
-    its distance from ``fn`` (a batch form such as ``moving_energy``'s).  A
+    its distance from ``fn`` (a batch form such as ``probe_sum``'s).  A
     scan sample takes its sign from the estimate only when the estimate
     clears ``target`` by more than its bound; every other sample is
     re-scored with ``fn``, and the bracket's two ends always take their
@@ -765,10 +765,8 @@ def service_functional(instance: MWISInstance, name):
     and it prices any anchor at ``q`` alike: this chain's own anchors in
     the root solve and the other chains' anchors in :func:`plan_anchors`.
 
-    ``service.batch(qs)`` scores the probe rows ``qs`` of shape ``(Y, 2)``
-    at once from the same coefficient vector, returning the values and a
-    bound on each one's distance from ``service`` (see
-    :func:`physics.batch_pair_sum`).
+    The functional is :func:`physics.probe_sum` over that vector, whose
+    ``batch`` form scores many probe rows at once.
     """
     ch = instance.chains[name]
     cfg = instance.config
@@ -802,24 +800,7 @@ def service_functional(instance: MWISInstance, name):
                 ]
             )
             coeff[a] += float(row @ jumps)
-    idx = np.flatnonzero(coeff)
-    pts = instance.positions[idx]
-    wts = coeff[idx]
-    c6 = cfg.c6
-
-    def service(q):
-        d2 = ((pts - np.asarray(q, dtype=float)) ** 2).sum(axis=1)
-        return float(np.sum(wts * c6 / d2**3))
-
-    px, py = pts.T
-    wc = wts * c6  # the scalar's wts * c6, rounded the same way
-
-    def batch(qs):
-        qs = np.asarray(qs, dtype=float)
-        return batch_pair_sum(px - qs[:, :1], py - qs[:, 1:], wc)
-
-    service.batch = batch
-    return service
+    return probe_sum(instance.positions, coeff, cfg.c6)
 
 
 # Requirements below this fraction of the detuning get no anchor, and the
@@ -1013,12 +994,12 @@ def balance_open_ports(gadget: Gadget, config):
     port weight and are then polished orbit by orbit (a Gauss–Seidel sweep
     over the symmetry orbits) on the exact energy differences of the full
     gadget-plus-anchor system, to ``_BALANCE_TOL`` in units of the
-    nearest-neighbour pair energy.  Each logical state gets one ``physics.moving_energy``
-    kernel with the anchors as its moving atoms, so a trial distance
-    recomputes only the anchor pairs, bitwise equal to the full pair sum
-    on the stacked layout.  Each root solve's bracket scan goes through the
-    kernels' batch forms in one pass, so the roots are those of the scalar
-    kernels alone.  Only this polish is specific to free-standing gadgets.
+    nearest-neighbour pair energy.  The anchors are excited in every
+    logical state, so an orbit's split is the bare gadget's split (whole-
+    state energies) plus one :func:`physics.probe_sum` of the anchors over
+    the two states' occupation difference, and the root solve sets that sum
+    against the bare split.  A last check scores the full masks on the
+    stacked layout.  Only this polish is specific to free-standing gadgets.
     """
     cfg = config
     dlt = cfg.detuning
@@ -1048,49 +1029,39 @@ def balance_open_ports(gadget: Gadget, config):
             for name, (base, axis, norm) in zip(names, rays)
         ]
 
-    def stacked(d):
-        return np.vstack([gadget.positions, anchor_rows(d)])
-
-    anchor_atoms = range(gadget.n, gadget.n + len(names))
-    a_mask = mask_of(anchor_atoms)
-    first = stacked(dist)
-    kernels = [
-        moving_energy(first, dlt, m | a_mask, cfg.c6, anchor_atoms)
-        for m in gadget.logical_states
-    ]
-
-    def split(d, hi, lo):
-        rows = anchor_rows(d)
-        return kernels[hi](rows) - kernels[lo](rows)
-
+    states = gadget.logical_states
+    bare = energies(gadget.positions, dlt, states, cfg.c6).tolist()
     orbits = _ORBITS[gadget.kind]
+    pulls = {
+        (hi, lo): probe_sum(
+            gadget.positions,
+            [(states[hi] >> a & 1) - (states[lo] >> a & 1) for a in range(gadget.n)],
+            cfg.c6,
+        )
+        for _, (hi, lo) in orbits
+    }
     scale = _BALANCE_TOL * cfg.energy_unit
 
     def conditions(d):
-        return [split(d, hi, lo) for _, (hi, lo) in orbits]
+        rows = anchor_rows(d)
+        return [pulls[hi, lo](rows) - (bare[lo] - bare[hi]) for _, (hi, lo) in orbits]
 
     for _ in range(_BALANCE_ROUNDS):
         for members, (hi, lo) in orbits:
+            pull = pulls[hi, lo]
 
-            def gap(y):
-                trial = dict(dist)
-                for name in members:
-                    trial[name] = y
-                return split(trial, hi, lo)
+            def rows_at(y):
+                # y is one distance or an array of them; each element of a
+                # member's entries then takes the scalar call's float steps
+                return anchor_rows({**dist, **dict.fromkeys(members, y)})
 
             def gap_batch(ys):
-                rows = np.empty((len(ys), len(names), 2))
-                rows[:] = anchor_rows(dist)
-                for k, name in enumerate(names):
-                    if name in members:
-                        base, axis, norm = rays[k]
-                        # anchor_rows' b + d * u / norm, one sample per row
-                        rows[:, k] = base + ys[:, None] * np.array(axis) / norm
-                (e_hi, b_hi), (e_lo, b_lo) = (kernels[st].batch(rows) for st in (hi, lo))
-                return e_hi - e_lo, b_hi + b_lo
+                cols = np.broadcast_arrays(*(c for row in rows_at(ys) for c in row))
+                return pull.batch(np.stack(cols, axis=-1).reshape(len(ys), -1, 2))
 
             y = solve_bracketed(
-                gap, 0.25 * cfg.spacing, 6.0 * cfg.spacing, tol=scale, scan=gap_batch
+                lambda y: pull(rows_at(y)), 0.25 * cfg.spacing, 6.0 * cfg.spacing,
+                target=bare[lo] - bare[hi], tol=scale, scan=gap_batch,
             )
             for name in members:
                 dist[name] = y
@@ -1101,17 +1072,17 @@ def balance_open_ports(gadget: Gadget, config):
             "balance", f"{gadget.kind}: orbit sweep did not converge"
         )
 
-    pos = stacked(dist)
-    rows = anchor_rows(dist)
-    ref = kernels[0](rows)
-    worst = max(abs(energy(rows) - ref) for energy in kernels)
+    pos = np.vstack([gadget.positions, anchor_rows(dist)])
+    anchors = tuple(
+        (name, tuple(pos[gadget.n + k]), dist[name]) for k, name in enumerate(names)
+    )
+    anchored = AnchoredGadget(gadget, w2, anchors, pos)
+    es = energies(pos, dlt, anchored.full_masks(), cfg.c6)
+    worst = float(np.abs(es - es[0]).max())
     if worst > 10.0 * scale:
         raise PipelineError(
             "balance",
             f"{gadget.kind}: states split by {worst:.3g} after anchoring",
         )
-    anchors = tuple(
-        (name, tuple(pos[gadget.n + k]), dist[name]) for k, name in enumerate(names)
-    )
-    return AnchoredGadget(gadget, w2, anchors, pos)
+    return anchored
 

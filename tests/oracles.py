@@ -59,9 +59,10 @@ def diagonal_energy(positions, detunings, config: int, c6):
     """Energy of one occupation pattern under van der Waals pairs ``c6 / r**6``.
 
     The reference pair sum: ``-sum detunings`` over the excited atoms, then
-    each excited pair ``a < b`` added left to right, the order in which
-    ``physics.moving_energy`` adds them.  Raises GeometryError when two
-    *excited* atoms coincide, since the energy is then undefined.
+    each excited pair ``a < b`` added left to right, one term at a time,
+    independent of ``physics.pair_matrix`` and ``physics.probe_sum``.
+    Raises GeometryError when two *excited* atoms coincide, since the
+    energy is then undefined.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)

@@ -212,7 +212,7 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert report["verified"] and report["gap_to_bulk"] > 0
         printed = capsys.readouterr().out.splitlines()
-        assert f"gap to first bulk state: {report['gap_to_bulk']:.3e}" in printed
+        assert f"gap to first bulk state: {report['gap_to_bulk']:.3e} (energy units)" in printed
         assert printed[-1] == "verified"
 
     def test_gadget_route_defaults_kite_ratio(self, tmp_path):

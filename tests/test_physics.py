@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 
@@ -105,8 +104,8 @@ class TestPairEnergies:
 
 
 def pair_sum(positions, detunings, mask, c6):
-    """The package's pair sum of one pattern: ``moving_energy`` with nothing moving."""
-    return physics.moving_energy(positions, detunings, mask, c6, ())([])
+    """The package's whole-state pair sum of one pattern."""
+    return float(physics.energies(positions, detunings, [mask], c6)[0])
 
 
 class TestDiagonalEnergy:
@@ -135,9 +134,14 @@ class TestDiagonalEnergy:
         pos = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(GeometryError):
             pair_sum(pos, 1.0, 0b011, c6=1.0)
-        # coincidence between a ground-state atom and anything is tolerated
-        e = pair_sum(pos, 1.0, 0b101, c6=1.0)
+        with pytest.raises(GeometryError):
+            diagonal_energy(pos, 1.0, 0b011, c6=1.0)
+        # the reference tolerates a coincident pair that is not excited; the
+        # package scores whole layouts, as the spectrum does, and refuses it
+        e = diagonal_energy(pos, 1.0, 0b101, c6=1.0)
         assert e == pytest.approx(-2.0 + 1.0)
+        with pytest.raises(GeometryError):
+            pair_sum(pos, 1.0, 0b101, c6=1.0)
 
     def test_pair_energy_override(self):
         pe = np.full((3, 3), 7.0)
@@ -157,57 +161,53 @@ class TestDiagonalEnergy:
         got = diagonal_energy(pos, det, mask, c6=2.7)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
-
-@functools.lru_cache(maxsize=None)
-def catalogue_gadget(spec):
-    kind, _, length = spec.partition(":")
-    cfg = physics.PhysicsConfig(interaction_ratio=3.0)
-    return make_gadget(kind, config=cfg, length=int(length) if length else None), cfg
-
-
-class TestMovingEnergy:
-    @pytest.mark.parametrize(
-        "spec", ["kite", "f3", "fork", "three_body", "link:5", "link:21"]
-    )
-    @given(st.lists(st.floats(0.25, 6.0), min_size=4, max_size=4))
-    @example([0.25] * 4)
-    @example([6.0] * 4)
-    @settings(max_examples=40, deadline=None)
-    def test_port_anchors_bitwise_equal_to_diagonal_energy(self, spec, dists):
-        g, cfg = catalogue_gadget(spec)
-        rows = []
-        for (name, node), d in zip(g.ports.items(), dists):
-            axis = np.asarray(g.port_axes[name], dtype=float)
-            rows.append(g.positions[node] + d * axis / np.linalg.norm(axis))
-        pos = np.vstack([g.positions, rows])
-        anchors = range(g.n, len(pos))
-        # the kernel ignores where the moving atoms sit at construction
-        placeholder = np.vstack([g.positions, np.zeros((len(rows), 2))])
-        for state in g.logical_states:
-            m = state | physics.mask_of(anchors)
-            f = physics.moving_energy(placeholder, cfg.detuning, m, cfg.c6, anchors)
-            try:
-                expected = diagonal_energy(pos, cfg.detuning, m, cfg.c6)
-            except GeometryError:
-                with pytest.raises(GeometryError):
-                    f(rows)
-            else:
-                assert f(rows) == expected
-
     @given(
-        st.integers(min_value=0, max_value=2**6 - 1),
-        st.integers(min_value=0, max_value=2**6 - 1),
+        st.lists(st.integers(min_value=0, max_value=2**6 - 1), min_size=1, max_size=8),
         st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_layouts_bitwise_equal(self, mask, moving_mask, seed):
+    def test_energies_match_oracle_on_random_layouts(self, masks, seed):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 5, size=(6, 2))
         det = rng.uniform(0.5, 2.0, size=6)
-        moving = nodes_of(moving_mask, 6)
-        f = physics.moving_energy(pos, det, mask, 2.7, moving)
-        pos[moving] = rng.uniform(0, 5, size=(len(moving), 2))
-        assert f(pos[moving]) == diagonal_energy(pos, det, mask, c6=2.7)
+        got = physics.energies(pos, det, masks, 2.7)
+        assert got.shape == (len(masks),)
+        for mask, e in zip(masks, got):
+            want = diagonal_energy(pos, det, mask, c6=2.7)
+            size = det.sum() + sum(
+                2.7 / math.dist(pos[a], pos[b]) ** 6
+                for a, b in itertools.combinations(nodes_of(mask, 6), 2)
+            )
+            assert abs(e - want) <= 1e-13 * size
+
+
+def brute_probe_sum(sites, coeff, c6, probes):
+    """``sum coeff_s * c6 / r**6`` over every (probe, site) pair, term by term."""
+    return sum(
+        w * c6 / math.dist(q, p) ** 6 for q in probes for p, w in zip(sites, coeff) if w
+    )
+
+
+class TestProbeSum:
+    """The root solves' kernel: probe atoms against fixed, signed sites."""
+
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_sum(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        sites = rng.uniform(0, 8, size=(n, 2))
+        coeff = rng.choice([-1.5, -1.0, 0.0, 0.5, 1.0], size=n)
+        probes = rng.uniform(0, 8, size=(k, 2))
+        f = physics.probe_sum(sites, coeff, 2.7)
+        want = brute_probe_sum(sites, coeff, 2.7, probes)
+        size = brute_probe_sum(sites, np.abs(coeff), 2.7, probes)
+        assert abs(f(probes) - want) <= 1e-13 * size
+        if k:
+            assert f(probes[0]) == f(probes[:1])  # one probe, either shape
 
     @given(
         st.integers(min_value=2, max_value=30),
@@ -215,58 +215,71 @@ class TestMovingEnergy:
         st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batch_within_bound_of_scalar(self, n, n_moving, seed):
+    def test_batch_within_bound_of_scalar(self, n, k, seed):
         rng = np.random.default_rng(seed)
-        pos = rng.uniform(0, 8, size=(n, 2))
-        det = rng.uniform(0.5, 2.0, size=n)
-        mask = int(rng.integers(0, 1 << n))
-        moving = sorted(rng.choice(n, size=min(n_moving, n), replace=False).tolist())
-        f = physics.moving_energy(pos, det, mask, 2.7, moving)
-        rows = rng.uniform(0, 8, size=(6, len(moving), 2))
-        rows[0] = pos[moving]  # where the atoms stand
+        sites = rng.uniform(0, 8, size=(n, 2))
+        coeff = rng.choice([-1.5, -1.0, 0.0, 0.5, 1.0], size=n)
+        f = physics.probe_sum(sites, coeff, 2.7)
+        rows = rng.uniform(0, 8, size=(6, k, 2))
         values, bounds = f.batch(rows)
         assert values.shape == bounds.shape == (6,)
-        exc = nodes_of(mask, n)
         for row, value, bound in zip(rows, values, bounds):
-            exact = f(row.tolist())
-            assert abs(value - exact) <= bound
+            assert abs(value - f(row)) <= bound
             # and the bound stays at the 1e-12 scale of the summed magnitudes
-            placed = pos.copy()
-            placed[moving] = row
-            size = det[exc].sum() + sum(
-                2.7 / math.dist(placed[a], placed[b]) ** 6
-                for a, b in itertools.combinations(exc, 2)
-            )
-            assert bound <= 1e-12 * size
+            assert bound <= 1e-12 * brute_probe_sum(sites, np.abs(coeff), 2.7, row)
+        if k == 1:  # rows of one probe, either shape, are the same batch
+            flat = f.batch(rows[:, 0])
+            assert all(np.array_equal(a, b) for a, b in zip(flat, (values, bounds)))
 
     def test_batch_marks_coincident_rows_for_rescoring(self):
         pos = chain(3)
-        f = physics.moving_energy(pos, 1.0, 0b111, 1.0, (2,))
-        values, bounds = f.batch(np.array([[pos[0]], [pos[2]]]))
+        f = physics.probe_sum(pos, [1.0, 0.0, -1.0], 1.0)
+        values, bounds = f.batch(np.array([[pos[0]], [pos[1]]]))
         assert bounds[0] == np.inf and math.isfinite(bounds[1])
-        assert values[1] == pytest.approx(f([pos[2]]), rel=1e-14)
+        assert values[1] == pytest.approx(f(pos[1]), rel=1e-14)
 
-    def test_idle_moving_atom_has_no_pairs(self):
+    def test_zero_coefficient_sites_have_no_terms(self):
+        # a probe on a site whose coefficient is zero is no coincidence
         pos = chain(4)
-        f = physics.moving_energy(pos, 1.0, 0b0101, 3.0, (1,))
-        expected = diagonal_energy(pos, 1.0, 0b0101, c6=3.0)
-        assert f([[0.0, 0.0]]) == expected
-        assert f([[2.0, 0.0]]) == expected
+        f = physics.probe_sum(pos, [1.0, 0.0, 2.0, 0.0], 3.0)
+        expected = 3.0 / 1.0**6 + 2.0 * 3.0 / 1.0**6
+        assert f([1.0, 0.0]) == pytest.approx(expected, rel=1e-15)
+        _, bounds = f.batch(np.array([[1.0, 0.0], [3.0, 0.0]]))
+        assert np.isfinite(bounds).all()
 
-    def test_nothing_moving(self):
-        pos = chain(5)
-        f = physics.moving_energy(pos, 1.0, 0b10101, 3.0, ())
-        assert f([]) == diagonal_energy(pos, 1.0, 0b10101, c6=3.0)
+    def test_no_probes_sum_to_zero(self):
+        f = physics.probe_sum(chain(5), np.ones(5), 3.0)
+        assert f(np.zeros((0, 2))) == 0.0
+        values, bounds = f.batch(np.zeros((3, 0, 2)))
+        assert values.tolist() == bounds.tolist() == [0.0] * 3
 
-    def test_moving_onto_excited_atom_raises(self):
-        pos = chain(3)
-        f = physics.moving_energy(pos, 1.0, 0b111, 1.0, (2,))
-        on_top = pos.copy()
-        on_top[2] = pos[0]
-        with pytest.raises(GeometryError):
-            diagonal_energy(on_top, 1.0, 0b111, c6=1.0)
-        with pytest.raises(GeometryError):
-            f([pos[0]])
+    @pytest.mark.parametrize(
+        "spec", ["kite", "f3", "fork", "three_body", "link:5", "link:21"]
+    )
+    def test_balanced_port_anchors_tie_under_diagonal_energy(self, spec):
+        # the port anchors are solved on probe sums alone; the reference
+        # scores every logical state of the anchored gadget pair by pair
+        kind, _, length = spec.partition(":")
+        for ratio in (1.5, 2.0, 3.0, 4.0, 6.0):
+            cfg = physics.PhysicsConfig(interaction_ratio=ratio)
+            g = make_gadget(kind, config=cfg, length=int(length) if length else None)
+            anchored = balance_open_ports(g, cfg)
+            es = [
+                diagonal_energy(anchored.positions, cfg.detuning, m, cfg.c6)
+                for m in anchored.full_masks()
+            ]
+            assert max(es) - min(es) <= 1e-9 * cfg.energy_unit
+
+
+class TestEmptyLayout:
+    @pytest.mark.parametrize("positions", [[], np.zeros((0, 2))], ids=["list", "array"])
+    def test_empty_pattern_is_the_spectrum(self, positions):
+        assert physics.pair_matrix(positions, 1.0).shape == (0, 0)
+        assert physics.energies(positions, 1.0, [0], 1.0).tolist() == [0.0]
+        res = physics.spectrum(positions, 1.0, 1.0, 0.1)
+        assert res.entries == [physics.SpectrumEntry(0.0, 0)]
+        assert res.n_atoms == 0 and not res.truncated
+        assert res.ground_energy == 0.0
 
 
 class TestMaskHelpers:
