@@ -9,10 +9,9 @@ energies; it is recorded on the config purely for layout documents).
 Occupation patterns are plain integer bitmasks with atom ``i`` on bit ``i``.
 Whole patterns are scored over ``pair_matrix`` (``energies``, the spectra).
 Every anchor root solve runs on ``probe_sum``, the signed pair sum that probe
-atoms feel from fixed sites.  Its ``batch`` form scores many placements at
-once through ``batch_pair_sum``, which returns each value with a bound on how
-far it may sit from the scalar call; root solvers trust a batched sign only
-outside that bound.
+atoms feel from fixed sites.  Its one kernel scores many placements at once,
+and a single placement is that kernel on one row, so a batched value is the
+scalar call's value bit for bit.
 
 Spectra are exact: no interaction tails are ever truncated.  Every layout,
 from one atom up, goes through one spatial-block branch-and-bound whose
@@ -40,7 +39,6 @@ from .errors import EnumerationBudgetError, GeometryError, ValidationError
 from .mwis import _sweep_order
 
 _COINCIDENT = 1e-12
-_EPS = float(np.finfo(float).eps)
 _BLOCK_SIZE = 10  # atoms per block of the branch-and-bound's first tables
 _NEAR = 1.5  # sweep-graph edges join pairs closer than this times the closest pair
 
@@ -123,63 +121,32 @@ def bitstring(mask: int, n: int) -> str:
     return format(mask & ((1 << n) - 1) | 1 << n, "b")[:0:-1]
 
 
-def batch_pair_sum(dx, dy, coeff):
-    """Rows of ``sum_s coeff_s / d2_s**3`` and a bound on their rounding.
-
-    One row per placement: ``dx``/``dy`` are the planar offsets of its
-    pairs, formed with the scalar call's operations, so ``d2 = dx*dx +
-    dy*dy`` is bitwise the scalar's.  Returns ``(values, bounds)``:
-    ``|value - scalar| <= bound`` for a scalar call that sums the same terms
-    in any order with ``c / d2**3``.  Why:
-
-    - the cube is ``d2*d2*d2`` (two roundings) in place of ``d2**3`` (one
-      ``pow``, within an ulp), and each term is one correctly rounded
-      division, so a term moves by at most ``3*eps`` of itself;
-    - the summation order differs: summing n numbers in any order lands
-      within ``(n-1)*eps/2*M`` of the exact sum, ``M`` the sum of their
-      absolute values, so two orders differ by at most ``(n-1)*eps*M``.
-
-    Together that is ``(n+2)*eps*M``; the bound is ``2*(n+8)*eps*M``.  The
-    slack covers a numpy ``pow`` a few ulps off, second-order terms, the
-    rounding of the bound itself and of the caller's sign test.  A row with
-    a pair closer than the coincidence limit gets an infinite bound, so a
-    caller re-scores it with the scalar call and sees that call's error.
-    """
-    d2 = dx * dx + dy * dy
-    close = d2 < _COINCIDENT**2
-    terms = coeff / np.where(close, 1.0, d2 * d2 * d2)
-    bounds = 2.0 * (terms.shape[1] + 8) * _EPS * np.abs(terms).sum(axis=1)
-    bounds[close.any(axis=1)] = np.inf
-    return terms.sum(axis=1), bounds
-
-
 def probe_sum(sites, coeff, c6):
     """``f(q)``: the pair sum ``sum coeff_s * c6 / r**6`` of probes at ``q``.
 
-    ``q`` is one probe ``(2,)`` or several ``(k, 2)``; the value is one
-    ``np.sum`` of ``wts * c6 / d2**3`` over every (probe, site) pair whose
-    site has a nonzero coefficient.  The energy split of two states that
-    both excite the probes moves only by such a sum over the difference of
-    their occupations, so it serves every anchor root solve.
-    ``f.batch(qs)`` scores ``qs`` of shape ``(Y, 2)`` or ``(Y, k, 2)`` at
-    once, with a bound per value as :func:`batch_pair_sum` gives it.
+    ``q`` is one probe ``(2,)`` or several ``(k, 2)``.  ``f.batch(qs)``
+    scores ``qs`` of shape ``(Y, 2)`` or ``(Y, k, 2)``, one value per row:
+    numpy's pairwise sum of ``wts * c6 / d2**3`` over the row's (probe,
+    site) terms, probe-major, for every site with a nonzero coefficient.
+    ``f(q)`` is ``f.batch`` on the one row ``q``, and each row is summed
+    alone, so the two agree bit for bit.  The energy split of two states
+    that both excite the probes moves only by such a sum over the
+    difference of their occupations, so it serves every anchor root solve.
+    Raises GeometryError when a probe sits on a site it sums over.
     """
     idx = np.flatnonzero(coeff)
     pts = np.asarray(sites, dtype=float)[idx]
-    wts = np.asarray(coeff, dtype=float)[idx]
-
-    def f(q):
-        d2 = ((pts - np.asarray(q, dtype=float)[..., None, :]) ** 2).sum(axis=-1)
-        return float(np.sum(wts * c6 / d2**3))
-
-    px, py = pts.T
-    wc = wts * c6  # the scalar's wts * c6, rounded the same way
+    wc = np.asarray(coeff, dtype=float)[idx] * c6
 
     def batch(qs):
-        qs = np.asarray(qs, dtype=float).reshape(len(qs), -1, 2)
-        dx = (px - qs[..., :1]).reshape(len(qs), -1)
-        dy = (py - qs[..., 1:]).reshape(len(qs), -1)
-        return batch_pair_sum(dx, dy, np.tile(wc, qs.shape[1]))
+        q3 = np.asarray(qs, dtype=float).reshape(len(qs), -1, 2)
+        d2 = ((pts - q3[..., None, :]) ** 2).sum(-1)
+        if (d2 < _COINCIDENT**2).any():
+            raise GeometryError("probe atom on a site of its pair sum")
+        return (wc / d2**3).reshape(len(qs), -1).sum(axis=1)
+
+    def f(q):
+        return float(batch(np.asarray(q, dtype=float)[None])[0])
 
     f.batch = batch
     return f

@@ -27,10 +27,9 @@ Every anchor distance is one root solve (``solve_bracketed``) on one
 secant polish.  The scan scores its samples left to right, 32 at a time,
 through the sum's batch form and stops at the first chunk that holds a
 crossing.  Bisection scores the midpoints on its path toward a secant guess
-in one more batch.  A sign is taken from a batch only where its rounding
-bound certifies it, and every other sample or midpoint calls the scalar
-functional, so every root is bit for bit the one the scalar functional
-alone gives, at about a quarter of its scalar calls.
+in one more batch.  A batched value is the scalar functional's bit for bit,
+so every root is the one the scalar functional alone gives, and only the
+secant guesses, midpoints off the predicted path and the polish call it.
 
 A free-standing gadget is compensated and homogenised by the same
 ``tail_compensate`` and ``homogenize``, as a one-element instance
@@ -94,23 +93,19 @@ _ORBITS = {
 _SCAN_SAMPLES = 128  # samples of every bracket scan
 _SCAN_CHUNK = _SCAN_SAMPLES // 4  # samples scored per batch, left to right
 _SECANT_STEPS = 8  # most fn calls spent guessing the root before bisection
-_SIGN_FLOOR = 1e-150  # |fn - target| a certified midpoint stays above
 _ANCHOR_LO, _ANCHOR_HI = 0.5, 5.0  # first anchor search window, in spacings
 _CORRIDOR_LIMIT = 60.0  # farthest an anchor may travel along its ray, in spacings
 _BALANCE_TOL = 1e-12  # port-anchor polish tolerance, over the pair energy
 _BALANCE_ROUNDS = 60  # orbit sweeps the port-anchor polish may take
 
 
-def _certified_path(g, scan, target, a, fa, b, fb):
-    """Certified signs of ``g`` at the bisection midpoints toward a guessed root.
+def _predicted_path(g, scan, target, a, fa, b, fb):
+    """``g``'s values at the bisection midpoints toward a guessed root.
 
     A secant run of at most ``_SECANT_STEPS`` calls of ``g`` from the
     bracket ends, kept inside ``[a, b]``, guesses the root; the bisection
     path toward that guess is predicted with the loop's own midpoint and
-    stop rule and scored in one batch.  Returns ``{midpoint: sign}`` for
-    every midpoint whose estimate clears ``target`` by more than twice
-    both its bound and ``_SIGN_FLOOR``: there ``g``'s value has that sign
-    and a magnitude above ``_SIGN_FLOOR``.
+    stop rule and scored in one batch.  Returns ``{midpoint: g(midpoint)}``.
     """
     x0, f0, x1, f1 = a, fa, b, fb
     guess = b
@@ -136,12 +131,7 @@ def _certified_path(g, scan, target, a, fa, b, fb):
             a = path[-1]
     if not path:
         return {}
-    mids = np.array(path)
-    est, bound = scan(mids)
-    miss = est - target
-    # not "<=": a NaN estimate or bound certifies nothing
-    ok = np.abs(miss) > 2.0 * np.maximum(bound, _SIGN_FLOOR)
-    return dict(zip(mids[ok].tolist(), np.sign(miss[ok]).tolist()))
+    return dict(zip(path, (scan(np.array(path)) - target).tolist()))
 
 
 def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
@@ -156,26 +146,14 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
     chunks and stops after the first chunk that holds its first stop: a
     sample that is a root, or the first of two samples that change sign.
 
-    ``scan(ys)`` scores many samples at once: it returns estimates of
-    ``fn`` at the float array ``ys`` and, per estimate, an absolute bound on
-    its distance from ``fn`` (a batch form such as ``probe_sum``'s).  A
-    scan sample takes its sign from the estimate only when the estimate
-    clears ``target`` by more than its bound; every other sample is
-    re-scored with ``fn``, and the bracket's two ends always take their
-    values from ``fn``.  With ``scan`` given, bisection also reads signs
-    from one batch: a short secant run on ``fn`` guesses the root, the
-    bisection path toward the guess is predicted and scored at once, and a
-    midpoint on it takes its sign from the batch when the estimate clears
-    ``target`` by more than twice both its bound and ``_SIGN_FLOOR``.
-    ``fn`` is then more than ``_SIGN_FLOOR`` from ``target`` there, so the
-    loop's test ``fa * fm < 0.0`` cannot underflow and its outcome is
-    fixed by the signs alone.  Every other midpoint, one off the predicted
-    path included, calls ``fn``, and an end set from a batch sign is
-    re-scored with ``fn`` before the polish.  The signs, hence the bracket,
-    every bisection step and the values the polish starts from are
-    therefore exactly those of ``fn`` alone, and so is the root, bit for
-    bit.  Without ``scan`` the scan is ``fn`` itself with bound 0 and
-    bisection calls ``fn`` at every midpoint.
+    ``scan(ys)`` scores many samples at once: it returns ``fn`` at the float
+    array ``ys``, bit for bit (a batch form such as ``probe_sum``'s).  The
+    scan's chunks then go through ``scan``, and so does bisection: a short
+    secant run on ``fn`` guesses the root, and the bisection path toward
+    the guess is predicted and scored in one batch.  A midpoint off that
+    path calls ``fn``.  Every value the solver reads is therefore ``fn``'s,
+    and the root is bit for bit the one ``fn`` alone gives.  Without
+    ``scan`` every sample and midpoint calls ``fn``.
     """
     if not lo < hi:
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
@@ -185,26 +163,20 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
 
     def score(ys):
         if scan is None:
-            return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
+            return np.array([fn(y) for y in ys.tolist()])
         return scan(ys)
 
     grid = np.linspace(lo, hi, _SCAN_SAMPLES)
     ys = grid.tolist()
-    sign = np.empty(_SCAN_SAMPLES)
-    exact = {}  # sample -> residual from fn
+    miss = np.empty(_SCAN_SAMPLES)  # fn - target at the samples scored so far
     for end in range(_SCAN_CHUNK, _SCAN_SAMPLES + 1, _SCAN_CHUNK):
         start = end - _SCAN_CHUNK
-        est, bound = score(grid[start:end])
-        miss = est - target
-        sign[start:end] = np.sign(miss)
-        # not "<=": a NaN estimate or bound is re-scored too
-        for k in (start + np.flatnonzero(~(np.abs(miss) > bound))).tolist():
-            exact[k] = g(ys[k])
-            sign[k] = np.sign(exact[k])
-        # the first sample that is a root or opens a sign change, as a scan
-        # of fn alone finds it; the last one scored can only stop as a root
-        stop = sign[:end] == 0
-        stop[:-1] |= sign[: end - 1] * sign[1:end] < 0
+        miss[start:end] = score(grid[start:end]) - target
+        # the first sample that is a root or opens a sign change; the last
+        # one scored can only stop as a root
+        sign = np.sign(miss[:end])
+        stop = sign == 0
+        stop[:-1] |= sign[:-1] * sign[1:] < 0
         if stop.any():
             k = int(np.argmax(stop))
             bracket = (k, k) if sign[k] == 0 else (k, k + 1)
@@ -215,48 +187,28 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
             lo,
             hi,
         )
-    for k in bracket:
-        if k not in exact:
-            exact[k] = g(ys[k])
     a, b = (ys[k] for k in bracket)
-    fa, fb = (exact[k] for k in bracket)
+    fa, fb = (float(miss[k]) for k in bracket)
     if fa == 0.0:
         b, fb = a, fa
-    signs = {}
+    known = {}
     if scan is not None and a < b:
-        signs = _certified_path(g, scan, target, a, fa, b, fb)
-    # an end set from a batch sign holds that sign (+-1.0) until re-scored
-    a_signed = b_signed = False
+        known = _predicted_path(g, scan, target, a, fa, b, fb)
     for _ in range(100):
         if b - a < 1e-14 * max(1.0, abs(a)):
             break
         mid = 0.5 * (a + b)
-        sm = signs.get(mid)
-        if sm is not None and (a_signed or abs(fa) >= _SIGN_FLOOR):
-            # both sides clear _SIGN_FLOOR, so fn's product would not
-            # underflow: its sign is the product of the signs
-            if fa * sm < 0.0:
-                b, fb, b_signed = mid, sm, True
-            else:
-                a, fa, a_signed = mid, sm, True
-            continue
-        fm = g(mid)
+        fm = known.get(mid)
+        if fm is None:
+            fm = g(mid)
         if fm == 0.0:
             a = b = mid
             fa = fb = 0.0
-            a_signed = b_signed = False
             break
-        if a_signed and abs(fm) < _SIGN_FLOOR:
-            # fn's product might underflow: it needs fn's value at a
-            fa, a_signed = g(a), False
         if fa * fm < 0.0:
-            b, fb, b_signed = mid, fm, False
+            b, fb = mid, fm
         else:
-            a, fa, a_signed = mid, fm, False
-    if a_signed:
-        fa = g(a)
-    if b_signed:
-        fb = g(b)
+            a, fa = mid, fm
     x0, f0 = a, fa
     x1, f1 = b, fb
     for _ in range(60):
@@ -494,15 +446,16 @@ class Anchor:
     style: str  # "axial" | "raise" | "lower"
 
 
-def place_anchor(prof, base, direction, target, config, *, cap=60.0):
+def place_anchor(prof, base, direction, target, config, *, cap=_CORRIDOR_LIMIT):
     """Anchor position on the ray ``base + y*direction`` with ``prof == target``.
 
     Distances are in units of the lattice spacing; the search window starts
     at ``[_ANCHOR_LO, _ANCHOR_HI]`` and grows (up to ``cap`` spacings) when
     the target is too weak for the first bracket.  Returns ``(position,
-    distance)``; the residual is at most 1e-12 of the detuning.  ``prof``
-    carries a batch form ``prof.batch``, as :func:`service_functional` does,
-    which scores each window's bracket scan in one pass.
+    distance)``; the residual is at most 1e-12 of the detuning.  ``prof`` is
+    a :func:`physics.probe_sum`, as :func:`service_functional` returns it:
+    its ``batch`` form scores the bracket scan and the bisection path of
+    each window with ``prof``'s own values.
     """
     base = np.asarray(base, dtype=float)
     u = np.asarray(direction, dtype=float)
@@ -894,14 +847,15 @@ def _check_sites(instance, anchors):
                 f"anchor for {a.variable} is not accessible: nearest "
                 f"computational atom at {dmin:.3f} is inside the blockade disk"
             )
-    for i in range(len(anchors)):
-        for j in range(i + 1, len(anchors)):
-            d = np.asarray(anchors[i].position) - np.asarray(anchors[j].position)
-            if float(np.sqrt((d**2).sum())) < 2.0 * s:
-                raise GeometryError(
-                    f"anchor sites for {anchors[i].variable} and "
-                    f"{anchors[j].variable} collide; displace one chain first"
-                )
+    pos = np.array([a.position for a in anchors], dtype=float).reshape(-1, 2)
+    dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
+    close = np.argwhere(np.triu(dist < 2.0 * s, 1))  # i < j, row-major
+    if len(close):
+        i, j = close[0]
+        raise GeometryError(
+            f"anchor sites for {anchors[i].variable} and "
+            f"{anchors[j].variable} collide; displace one chain first"
+        )
 
 
 # ---------------------------------------------------------------------------

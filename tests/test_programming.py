@@ -20,14 +20,16 @@ from oracles import anchored_requirement, chain_sum, diagonal_energy
 from rydcomp import cli, programming
 
 from rydcomp.assembly import assemble_layout, logical_subspace, lone_instance
-from rydcomp.errors import NoRootInRange, ValidationError
+from rydcomp.errors import GeometryError, NoRootInRange, ValidationError
 from rydcomp.gadgets import make_gadget
 from rydcomp.mwis import solve_mwis, ud_graph
 from rydcomp.parity import compile_parity, decompose_all, parity_energy
-from rydcomp.physics import PhysicsConfig, batch_pair_sum, spectrum
+from rydcomp.physics import PhysicsConfig, probe_sum, spectrum
 from rydcomp.problems import parse_problem
 from rydcomp.programming import (
+    Anchor,
     _assign_module_pairs,
+    _check_sites,
     _copy_correction,
     _module_occupancies,
     _tail_pairs,
@@ -90,31 +92,42 @@ class TestSolveBracketed:
             solve_bracketed(lambda t: t, 1.0, 1.0)
 
 
-def lying_scan(fn, target=0.0, flip=lambda k: k % 3 == 0):
-    """A scan whose estimates are off by up to their bound, and in sign too.
+def exact_scan(fn, seen=None):
+    """A batch form that returns ``fn``'s values bit for bit, as ``probe_sum``'s does.
 
-    A flipped sample's estimate sits exactly its own bound away from the
-    truth, on the other side of ``target``; an exact root is reported as a
-    nonzero estimate inside its bound.  Only re-scoring with ``fn`` finds
-    their true signs.  Every other estimate has the right sign, clear of
-    its bound, but is 30% too large, so a value read from the scan where
-    ``fn``'s is due moves the root.
+    Every sample it scores is appended to ``seen`` when that is a list.
     """
 
     def scan(ys):
-        miss = np.array([fn(y) for y in ys.tolist()]) - target
-        flipped = np.array([flip(k) for k in range(len(ys))])
-        est = target + np.where(flipped, -miss, 1.3 * miss)
-        bound = np.where(flipped, 2.0, 0.4) * np.abs(miss)
-        est[miss == 0.0] = target + 1e-3
-        bound[miss == 0.0] = 1e-3
-        return est, bound
+        if seen is not None:
+            seen.extend(ys.tolist())
+        return np.array([fn(y) for y in ys.tolist()])
 
     return scan
 
 
 class TestBatchedScan:
     GRID = np.linspace(-1.0, 1.0, 128).tolist()
+    # most fn calls one anchor root solve makes, measured over the balance
+    # and plan cases below; a solver that re-scores batched values exceeds it
+    MAX_FN_CALLS = 6
+
+    @staticmethod
+    def counting(real, counts):
+        """``solve_bracketed`` that appends each solve's number of fn calls."""
+
+        def batched(fn, lo, hi, **kw):
+            calls = []
+
+            def counted(y):
+                calls.append(y)
+                return fn(y)
+
+            y = real(counted, lo, hi, **kw)
+            counts.append(len(calls))
+            return y
+
+        return batched
 
     @given(st.floats(min_value=-0.8, max_value=0.8))
     @example(GRID[37])  # roots exactly on a grid sample
@@ -128,18 +141,24 @@ class TestBatchedScan:
         def fn(t):
             return (t - r) ** 3 + (t - r)
 
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return fn(t)
+
         want = solve_bracketed(fn, -1.0, 1.0)
-        assert solve_bracketed(fn, -1.0, 1.0, scan=lying_scan(fn)).hex() == want.hex()
-        for flip in (lambda k: True, lambda k: k < 64, lambda k: k % 2 == 1):
-            got = solve_bracketed(fn, -1.0, 1.0, scan=lying_scan(fn, flip=flip))
-            assert got.hex() == want.hex()
+        got = solve_bracketed(counted, -1.0, 1.0, scan=exact_scan(fn))
+        assert got.hex() == want.hex()
+        # the bracket scan's samples take their values from the batch alone
+        assert not set(calls) & set(self.GRID)
 
     def test_lying_scan_against_target(self):
         def fn(t):
             return t**-6
 
         want = solve_bracketed(fn, 0.5, 3.0, target=0.5)
-        got = solve_bracketed(fn, 0.5, 3.0, target=0.5, scan=lying_scan(fn, 0.5))
+        got = solve_bracketed(fn, 0.5, 3.0, target=0.5, scan=exact_scan(fn))
         assert got.hex() == want.hex()
 
     def test_lying_scan_without_root_still_refuses(self):
@@ -147,7 +166,7 @@ class TestBatchedScan:
             return t**2 + 1.0
 
         with pytest.raises(NoRootInRange, match="no sign change"):
-            solve_bracketed(fn, -2.0, 2.0, scan=lying_scan(fn))
+            solve_bracketed(fn, -2.0, 2.0, scan=exact_scan(fn))
 
     @staticmethod
     def chunked(scan, sizes):
@@ -175,25 +194,21 @@ class TestBatchedScan:
         def fn(t):
             return (t - r) ** 3 + (t - r)
 
-        def truthful(ys):
-            return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
-
         want = solve_bracketed(fn, -1.0, 1.0)
-        for scan in (truthful, lying_scan(fn), lying_scan(fn, flip=lambda k: True)):
-            sizes = []
-            got = solve_bracketed(fn, -1.0, 1.0, scan=self.chunked(scan, sizes))
-            assert got.hex() == want.hex()
-            # chunks of 32 up to the first stop, then at most one path batch
-            assert sizes[:chunks] == [32] * chunks
-            assert len(sizes) <= chunks + 1 and 32 not in sizes[chunks:]
+        sizes = []
+        got = solve_bracketed(fn, -1.0, 1.0, scan=self.chunked(exact_scan(fn), sizes))
+        assert got.hex() == want.hex()
+        # chunks of 32 up to the first stop, then at most one path batch
+        assert sizes[:chunks] == [32] * chunks
+        assert len(sizes) <= chunks + 1 and 32 not in sizes[chunks:]
 
-    @pytest.mark.parametrize("lie", [False, True])
-    def test_chunked_scan_without_root_scores_every_chunk(self, lie):
+    @pytest.mark.parametrize("vectorised", [False, True])
+    def test_chunked_scan_without_root_scores_every_chunk(self, vectorised):
         def fn(t):
             return t**2 + 1.0
 
         sizes = []
-        scan = lying_scan(fn) if lie else (lambda ys: (ys**2 + 1.0, np.zeros(len(ys))))
+        scan = (lambda ys: ys**2 + 1.0) if vectorised else exact_scan(fn)
         with pytest.raises(NoRootInRange, match="no sign change"):
             solve_bracketed(fn, -2.0, 2.0, scan=self.chunked(scan, sizes))
         assert sizes == [32] * 4
@@ -208,21 +223,14 @@ class TestBatchedScan:
     @example(0.4397897250135747, 3.6430258100913905e-148)
     @settings(max_examples=40, deadline=None)
     def test_tiny_values_keep_root_bits(self, r, scale):
-        # near 1e-150, fn's own test fa * fm < 0.0 underflows to zero, so a
-        # midpoint whose fn value may sit below the floor must call fn: one
-        # scan pushes every estimate 1e-150 further from zero, within its
-        # bound, and one lies about the sign
+        # near 1e-150, fn's own test fa * fm < 0.0 underflows to zero; the
+        # batch's values are fn's, so bisection takes the same steps
         def fn(t):
             return scale * ((t - r) ** 3 + (t - r))
 
-        def inflating(ys):
-            v = np.array([fn(y) for y in ys.tolist()])
-            return v + np.sign(v) * 1e-150, np.full(len(v), 1e-150)
-
         want = solve_bracketed(fn, -1.0, 1.0, tol=1e-12 * scale)
-        for scan in (inflating, lying_scan(fn)):
-            got = solve_bracketed(fn, -1.0, 1.0, tol=1e-12 * scale, scan=scan)
-            assert got.hex() == want.hex()
+        got = solve_bracketed(fn, -1.0, 1.0, tol=1e-12 * scale, scan=exact_scan(fn))
+        assert got.hex() == want.hex()
 
     @staticmethod
     def outcome(fn, **kw):
@@ -234,33 +242,26 @@ class TestBatchedScan:
     @pytest.mark.parametrize("left, right", [(-1e-149, 1e-180), (-1e-180, 1e-149)])
     @pytest.mark.parametrize("r", np.linspace(-0.7, 0.7, 8).tolist())
     def test_underflowing_product_keeps_root_bits(self, r, left, right):
-        # on one side of r, fn sits above the floor and the batch certifies
-        # its sign; on the other it is so small that fn's own fa * fm
-        # underflows to zero, which sends bisection the "wrong" way: only
-        # fn's values at both ends reproduce that
+        # on one side of r fn is so small that its own fa * fm underflows to
+        # zero, which sends bisection the "wrong" way: the batch's values
+        # at both ends reproduce that
         def fn(t):
             return right if t >= r else left
 
-        def truthful(ys):
-            return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
-
         for tol in (1e-200, 1e-170):
             want = self.outcome(fn, tol=tol)
-            assert self.outcome(fn, tol=tol, scan=truthful) == want
+            assert self.outcome(fn, tol=tol, scan=exact_scan(fn)) == want
 
     @pytest.mark.parametrize("r", [-0.61, 0.05, 0.3337, 0.77])
     def test_polish_starts_from_fn_values(self, r):
-        # a zero bound certifies every midpoint, so both final ends were set
-        # from batch signs; a tolerance below what bisection reaches makes
-        # the polish read both of their values
+        # both final ends are predicted midpoints whose values came from the
+        # batch; a tolerance below what bisection reaches makes the polish
+        # read both of them
         def fn(t):
             return math.exp(t - r) - 1.0
 
-        def truthful(ys):
-            return np.array([fn(y) for y in ys.tolist()]), np.zeros(len(ys))
-
         for tol in (1e-15, 0.0):
-            assert self.outcome(fn, tol=tol, scan=truthful) == self.outcome(fn, tol=tol)
+            assert self.outcome(fn, tol=tol, scan=exact_scan(fn)) == self.outcome(fn, tol=tol)
 
     def test_trusted_scan_calls_fn_only_at_bracket_and_polish(self):
         calls = []
@@ -269,15 +270,15 @@ class TestBatchedScan:
             calls.append(t)
             return t - 0.3
 
-        def scan(ys):
-            return ys - 0.3, np.zeros(len(ys))
-
-        y = solve_bracketed(fn, -1.0, 1.0, scan=scan)
+        seen = []
+        y = solve_bracketed(fn, -1.0, 1.0, scan=exact_scan(lambda t: t - 0.3, seen))
         assert abs(y - 0.3) < 1e-12
         assert len(calls) < 50
-        # the bracket's ends take their values from fn, before any bisection
+        # the batch scores the bracket's ends, and fn is never called where
+        # the batch has scored
         k = int(np.searchsorted(self.GRID, 0.3))
-        assert calls[:2] == [self.GRID[k - 1], self.GRID[k]]
+        assert set(self.GRID[: k + 1]) <= set(seen)
+        assert not set(calls) & set(seen)
 
     @given(
         st.sampled_from(["K_{2,2}", "K_{2,3}"]),
@@ -285,6 +286,7 @@ class TestBatchedScan:
     )
     @settings(max_examples=20, deadline=None)
     def test_service_batch_within_bound_on_rays(self, tag, seed):
+        # the bound is zero: every batched value is the scalar call's
         inst = cached_instance(tag)
         rng = np.random.default_rng(seed)
         names = list(inst.chains)
@@ -295,10 +297,8 @@ class TestBatchedScan:
         angle = rng.uniform(0.0, 2.0 * math.pi)
         u = np.array([math.cos(angle), math.sin(angle)])
         ts = np.sort(rng.uniform(0.5, 60.0, size=16))
-        values, bounds = service.batch(base + ts[:, None] * u)
-        for t, value, bound in zip(ts.tolist(), values, bounds):
-            exact = service(base + t * u)
-            assert abs(value - exact) <= bound < math.inf
+        values = service.batch(base + ts[:, None] * u)
+        assert values.tolist() == [service(base + t * u) for t in ts.tolist()]
 
     @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0, 4.0, 6.0])
     @pytest.mark.parametrize("spec", ["link:5", "link:21", "three_body", "kite", "fork", "f3"])
@@ -313,25 +313,14 @@ class TestBatchedScan:
             anchored = balance_open_ports(gadget, cfg)
             return anchored.anchors, anchored.positions.tobytes()
 
-        def batched(fn, lo, hi, **kw):
-            calls = []
-
-            def counted(y):
-                calls.append(y)
-                return fn(y)
-
-            y = real(counted, lo, hi, **kw)
-            counts.append(len(calls))
-            return y
-
         def scalar(fn, lo, hi, *, scan, **kw):
             return real(fn, lo, hi, **kw)
 
-        monkeypatch.setattr(programming, "solve_bracketed", batched)
+        monkeypatch.setattr(programming, "solve_bracketed", self.counting(real, counts))
         got = outcome()
         monkeypatch.setattr(programming, "solve_bracketed", scalar)
         assert got == outcome()
-        assert counts and max(counts) <= 20
+        assert counts and max(counts) <= self.MAX_FN_CALLS
 
     @pytest.mark.parametrize(
         "tag, quadratic",
@@ -345,8 +334,11 @@ class TestBatchedScan:
         def scalar(fn, lo, hi, *, scan, **kw):
             return real(fn, lo, hi, **kw)
 
+        counts = []
+        monkeypatch.setattr(programming, "solve_bracketed", self.counting(real, counts))
         got = anchor_bits(plan_anchors(inst, w2))
         assert {style for _, style, *_ in got} >= {"axial", "raise"}
+        assert counts and max(counts) <= self.MAX_FN_CALLS
         monkeypatch.setattr(programming, "solve_bracketed", scalar)
         assert got == anchor_bits(plan_anchors(inst, w2))
 
@@ -698,16 +690,25 @@ class TestAnchors:
     def test_place_anchor_inverts_power_law(self):
         c6 = CFG4.c6
 
-        def prof(q):
-            q = np.asarray(q, dtype=float)
-            return c6 / float((q**2).sum()) ** 3
-
-        prof.batch = lambda qs: batch_pair_sum(qs[:, :1], qs[:, 1:], c6)
+        prof = probe_sum([[0.0, 0.0]], [1.0], c6)
         target = 0.3 * CFG4.detuning
         pos, dist = place_anchor(prof, (0.0, 0.0), (0.0, 1.0), target, CFG4)
         assert dist == pytest.approx((c6 / target) ** (1.0 / 6.0), abs=1e-9)
         assert pos[0] == pytest.approx(0.0, abs=1e-12)
         assert pos[1] == pytest.approx(dist, abs=1e-12)
+
+    def test_first_colliding_anchor_pair_is_named(self):
+        # pairs (1, 2) and (0, 3) collide; the row-major first is (0, 3)
+        inst = layout_instance("K_1")
+        far = inst.positions.max(axis=0) + 50.0
+        sites = [far, far + (5.0, 0.0), far + (5.5, 0.0), far + (0.0, 1.0)]
+        anchors = tuple(
+            Anchor(name, tuple(q), 0.1, 0, "axial") for name, q in zip("ABCD", sites)
+        )
+        with pytest.raises(GeometryError, match="for A and D collide"):
+            _check_sites(inst, anchors)
+        _check_sites(inst, anchors[:2])
+        _check_sites(inst, ())
 
     def test_service_without_modules_is_the_chain_sum(self):
         # K_1 compiles to one chain and no constraint, so no module: the
