@@ -13,9 +13,13 @@ Four subcommands cover the pipeline end to end:
     and emit the exact response curve next to its first- and second-order
     models, as CSV.
 ``endtoend``
-    repeated randomized instances: compile, enumerate exact ground states,
-    decode, compare with the brute-force optimum; mismatches are reported in
-    the result file, never raised.
+    repeated randomized instances, each run through ``verify``'s problem
+    check at its default window without writing its files: compile,
+    enumerate, decode the ground states and compare them with the
+    brute-force optimum.  Each trial records its ground states, whether
+    they decode to the optimum (``match``), ``verify``'s verdict and the gap
+    to the first bulk state; mismatches are reported in the result file,
+    never raised.
 
 Exit codes: 0 success, 2 invalid input, 3 pipeline failure (geometry, root
 finding, enumeration budget), 4 verification failed.  All file outputs go to
@@ -26,6 +30,7 @@ byte-stable for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -38,7 +43,7 @@ from .gadgets import KINDS, make_gadget
 from .parity import compile_parity, decode, decompose_all
 from .physics import PhysicsConfig, energies, mask_of, probe_sum, spectrum
 from .problems import brute_force_optimum, evaluate, load_problem, parse_problem
-from .programming import balance_open_ports, build_global_layout, solve_bracketed
+from .programming import balance_open_ports, build_global_layout, place_anchor
 
 OUT_ENV = "RYDCOMP_OUT"
 
@@ -96,8 +101,9 @@ def build_link_testbed(config: PhysicsConfig, length: int = 5) -> LinkTestbed:
     """The sweep's link, end anchors and root-solved programming anchor.
 
     All three anchors are excited in both states, so their own terms cancel
-    from the split: the height solves the anchor's ``physics.probe_sum``
-    over ``occ_on - occ_off`` against the bare layout's ``E_off - E_on``.
+    from the split: ``programming.place_anchor`` solves the height, between
+    0.5 and 5 spacings, from the anchor's ``physics.probe_sum`` over
+    ``occ_on - occ_off`` against the bare layout's ``E_off - E_on``.
     """
     if length < 5 or length % 2 == 0:
         raise ValidationError(f"sweep testbed needs an odd link length >= 5, got {length}")
@@ -115,15 +121,11 @@ def build_link_testbed(config: PhysicsConfig, length: int = 5) -> LinkTestbed:
     center_off = next(
         m for m in gadget.logical_states if not (m >> center) & 1
     ) | anchor_bits
-    det = config.detuning
     x = float(pos[center, 0])
-    e_on, e_off = energies(base, det, (center_on, center_off), config.c6).tolist()
+    e_on, e_off = energies(base, config.detuning, (center_on, center_off), config.c6).tolist()
     flips = [(center_on >> a & 1) - (center_off >> a & 1) for a in range(len(base))]
     pull = probe_sum(base, flips, config.c6)
-    height = solve_bracketed(
-        lambda y: pull((x, y)), 0.5 * d, 5.0 * d, target=e_off - e_on, tol=1e-13 * det,
-        scan=lambda ys: pull.batch(np.stack([np.full(len(ys), x), ys], axis=1)),
-    )
+    _, height = place_anchor(pull, (x, 0.0), (0.0, 1.0), e_off - e_on, config, cap=5.0)
     positions = np.vstack([base, [x, height]])
     return LinkTestbed(config, positions, center_on, center_off, length + 2, height)
 
@@ -185,11 +187,9 @@ def _physics(rc: RunConfig, default_ratio: float) -> PhysicsConfig:
     return PhysicsConfig(interaction_ratio=rc.ratio if rc.ratio is not None else default_ratio)
 
 
-def _compiled_layout(rc: RunConfig, config: PhysicsConfig):
-    problem = load_problem(rc.problem)
+def _compile(problem, rc: RunConfig, config: PhysicsConfig):
     program = decompose_all(compile_parity(problem))
-    layout = build_global_layout(program, config, link_length=rc.link_length)
-    return problem, program, layout
+    return program, build_global_layout(program, config, link_length=rc.link_length)
 
 
 def _say(*parts) -> None:
@@ -198,7 +198,8 @@ def _say(*parts) -> None:
 
 def cmd_compile(rc: RunConfig) -> int:
     config = _physics(rc, _ASSEMBLY_RATIO)
-    problem, _, layout = _compiled_layout(rc, config)
+    problem = load_problem(rc.problem)
+    _, layout = _compile(problem, rc, config)
     doc = reports.layout_document(layout, link_length=rc.link_length)
     path = os.path.join(rc.out, "layout.json")
     reports.write_json(path, doc)
@@ -238,29 +239,29 @@ def _parse_gadget_spec(text: str):
     return kind, 5 if kind == "link" else None
 
 
-def _verify_layout(rc, config, title, positions, masks, anchor_mask, hashes, check) -> int:
-    """Enumerate a layout, write its report and spectrum, and print the verdict.
+def _check_layout(rc, config, positions, masks, anchor_mask, check):
+    """Enumerate a layout at ``rc.window`` and judge it: ``(result, report)``.
 
     A layout verifies when its ground states are logical with every anchor
     excited, the window lists the whole logical band untruncated and below
     every bulk state (a window too small for the band, or a spectrum cut at
     ``cap``, leaves states unseen), and the route's own ``check(result,
-    report)`` holds; ``check`` may add its findings to the report.
+    report)`` holds; ``check`` may add its findings to the report.  The
+    verdict is the report's ``verified``.
     """
-    unit = config.energy_unit
     result = spectrum(
         positions,
         config.detuning,
         config.c6,
-        window=rc.window * unit,
+        window=rc.window * config.energy_unit,
         cap=rc.cap,
         hint_configs=masks,
         logical_masks=masks,
     )
-    report = reports.verification_report(result, masks, anchor_mask, config, hashes=hashes)
+    report = reports.verification_report(result, masks, anchor_mask, config)
     route_ok = check(result, report)
     band = report["logical_band"]
-    verified = bool(
+    report["verified"] = bool(
         report["ground_all_logical"]
         and report["anchors_excited"]
         and band is not None
@@ -269,23 +270,64 @@ def _verify_layout(rc, config, title, positions, masks, anchor_mask, hashes, che
         and ("gap_to_bulk" not in report or report["gap_to_bulk"] > 0)
         and route_ok
     )
-    report["verified"] = verified
+    return result, report
+
+
+def _check_problem(rc, config, problem):
+    """Compile, anchor and check one problem; decode its ground states.
+
+    The route's check decodes every ground entry of the window against the
+    brute-force optimum: ``decode_consistent`` holds when each is logical
+    and optimal.  Returns the layout, the spectrum, the report and one
+    record per ground entry.
+    """
+    program, layout = _compile(problem, rc, config)
+    state_by_config = {s.mask | layout.anchor_mask: s for s in layout.logical}
+    ground = []
+
+    def decodes(result, report):
+        optimum, _ = brute_force_optimum(problem)
+        ok = True
+        for entry in result.entries[: report["ground_degeneracy"]]:  # sorted by energy
+            record = {"config": int(entry.config), "energy": entry.energy, "logical": False}
+            state = state_by_config.get(entry.config)
+            if state is None:
+                ok = False
+            else:
+                bits = decode(program, state.values)
+                value = evaluate(problem, bits)
+                record.update(logical=True, assignment=list(bits), value=value)
+                ok = ok and value <= optimum + 1e-9
+            ground.append(record)
+        report["decode_consistent"] = ok
+        report["optimum"] = optimum
+        return ok
+
+    result, report = _check_layout(
+        rc, config, layout.positions, layout.full_masks(), layout.anchor_mask, decodes
+    )
+    return layout, result, report, ground
+
+
+def _write_verdict(rc, config, title, result, report) -> int:
+    """Write ``verify``'s report and spectrum, print the verdict, give the exit code."""
     reports.write_json(os.path.join(rc.out, "report.json"), report)
     reports.write_spectrum_csv(os.path.join(rc.out, "spectrum.csv"), result, config)
+    band = report["logical_band"]
     _say(title)
     _say(f"states in window: {len(result.entries)}")
     _say(f"largest block table: {result.peak_table} rows")
     if band is not None:
         spread = f"spread {band['spread']:.3e} (energy units)"
-        _say(f"logical band: {band['count']}/{len(masks)} states, {spread}")
+        _say(f"logical band: {band['count']}/{band['expected']} states, {spread}")
     if "gap_to_bulk" in report:
         _say(f"gap to first bulk state: {report['gap_to_bulk']:.3e} (energy units)")
     _say(f"ground states logical: {report['ground_all_logical']}")
     _say(f"anchors excited: {report['anchors_excited']}")
     if "decode_consistent" in report:
         _say(f"decode consistent: {report['decode_consistent']}")
-    _say("verified" if verified else "VERIFICATION FAILED")
-    return 0 if verified else 4
+    _say("verified" if report["verified"] else "VERIFICATION FAILED")
+    return 0 if report["verified"] else 4
 
 
 def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
@@ -297,61 +339,21 @@ def _verify_gadget(rc: RunConfig, kind: str, length) -> int:
         band = report["logical_band"]
         return band is not None and band["spread"] <= 1e-9 * config.energy_unit
 
-    title = f"gadget: {gadget.kind} ({gadget.n} atoms + {len(anchored.anchors)} anchors)"
-    hashes = {"gadget": reports.fingerprint(reports.gadget_document(anchored, config))}
-    return _verify_layout(
-        rc, config, title,
-        anchored.positions, anchored.full_masks(), anchored.anchor_mask,
-        hashes, tight,
+    result, report = _check_layout(
+        rc, config, anchored.positions, anchored.full_masks(), anchored.anchor_mask, tight
     )
-
-
-def _decode_ground(entries, layout, program, problem, optimum):
-    """Per-entry decode records, and whether every entry is logical and optimal."""
-    state_by_config = {s.mask | layout.anchor_mask: s for s in layout.logical}
-    records = []
-    ok = True
-    for entry in entries:
-        state = state_by_config.get(entry.config)
-        if state is None:
-            records.append({"config": int(entry.config), "energy": entry.energy, "logical": False})
-            ok = False
-            continue
-        bits = decode(program, state.values)
-        value = evaluate(problem, bits)
-        records.append(
-            {
-                "config": int(entry.config),
-                "energy": entry.energy,
-                "logical": True,
-                "assignment": list(bits),
-                "value": value,
-            }
-        )
-        if value > optimum + 1e-9:
-            ok = False
-    return records, ok
+    report["hashes"] = {"gadget": reports.fingerprint(reports.gadget_document(anchored, config))}
+    title = f"gadget: {gadget.kind} ({gadget.n} atoms + {len(anchored.anchors)} anchors)"
+    return _write_verdict(rc, config, title, result, report)
 
 
 def _verify_problem(rc: RunConfig) -> int:
     config = _physics(rc, _ASSEMBLY_RATIO)
-    problem, program, layout = _compiled_layout(rc, config)
-
-    def decodes(result, report):
-        optimum, _ = brute_force_optimum(problem)
-        ground = result.entries[: report["ground_degeneracy"]]  # entries sorted by energy
-        _, ok = _decode_ground(ground, layout, program, problem, optimum)
-        report["decode_consistent"] = ok
-        report["optimum"] = optimum
-        return ok
-
+    problem = load_problem(rc.problem)
+    layout, result, report, _ = _check_problem(rc, config, problem)
+    report["hashes"] = reports.layout_document(layout, link_length=rc.link_length)["hashes"]
     title = f"problem: {problem.label} ({layout.n_comp}+{layout.n_anchors} atoms)"
-    hashes = reports.layout_document(layout, link_length=rc.link_length)["hashes"]
-    return _verify_layout(
-        rc, config, title,
-        layout.positions, layout.full_masks(), layout.anchor_mask,
-        hashes, decodes,
-    )
+    return _write_verdict(rc, config, title, result, report)
 
 
 def cmd_verify(rc: RunConfig) -> int:
@@ -407,38 +409,27 @@ def cmd_endtoend(rc: RunConfig) -> int:
     config = _physics(rc, _ASSEMBLY_RATIO)
     template = load_problem(rc.problem)
     rng = np.random.default_rng(rc.seed)
-    unit = config.energy_unit
     results = []
     matches = 0
     for t in range(rc.trials):
         problem = _random_instance(template, rng, 0.3 * config.detuning)
-        program = decompose_all(compile_parity(problem))
-        layout = build_global_layout(program, config, link_length=rc.link_length)
-        masks = layout.full_masks()
-        found = spectrum(
-            layout.positions,
-            layout.detunings,
-            config.c6,
-            window=1e-9 * unit,
-            cap=rc.cap,
-            hint_configs=masks,
-            logical_masks=masks,
-        )
-        optimum, _ = brute_force_optimum(problem)
-        ground, ok = _decode_ground(found.entries, layout, program, problem, optimum)
+        _, result, check, ground = _check_problem(rc, config, problem)
+        ok = check["decode_consistent"]
         matches += ok
         results.append(
             {
                 "trial": t,
                 "problem": problem.to_dict(),
-                "optimum": optimum,
-                "ground_energy": found.ground_energy,
+                "optimum": check["optimum"],
+                "ground_energy": result.ground_energy,
                 "n_ground": len(ground),
                 "ground": ground,
                 "match": ok,
+                "verified": check["verified"],
+                "gap_to_bulk": check.get("gap_to_bulk"),
             }
         )
-        _say(f"trial {t}: {len(ground)} ground states, optimum {optimum!r}, "
+        _say(f"trial {t}: {len(ground)} ground states, optimum {check['optimum']!r}, "
              + ("match" if ok else "MISMATCH"))
     report = {
         "kind": "endtoend",
@@ -516,16 +507,19 @@ def _parse_range(text: str):
     if not sep:
         raise ValidationError(f"range must look like LO:HI, got {text!r}")
     try:
-        return float(lo), float(hi)
+        bounds = float(lo), float(hi)
     except ValueError:
         raise ValidationError(f"range must look like LO:HI, got {text!r}") from None
+    if not all(map(math.isfinite, bounds)):
+        raise ValidationError(f"range bounds must be finite, got {text!r}")
+    return bounds
 
 
 def _run_config(args) -> RunConfig:
     out = args.out if args.out is not None else os.environ.get(OUT_ENV, ".")
     window = getattr(args, "window", 0.02)
-    if window < 0:
-        raise ValidationError("window must be non-negative")
+    if not 0 <= window < math.inf:
+        raise ValidationError(f"window must be finite and non-negative, got {window!r}")
     steps = getattr(args, "steps", 1)
     if steps < 1:
         raise ValidationError("steps must be at least 1")

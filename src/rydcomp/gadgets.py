@@ -62,7 +62,6 @@ class Gadget:
     port_axes: dict  # name -> outward unit vector
     logical_states: tuple  # masks; [0] is the reference state
     comp_slots: dict  # state index -> tuple of slot node indices
-    graph: object
 
     @property
     def n(self) -> int:
@@ -82,7 +81,6 @@ class Gadget:
             axes,
             self.logical_states,
             dict(self.comp_slots),
-            self.graph,
         )
 
 
@@ -112,8 +110,7 @@ def _slots(states, port_nodes, n):
 def _finish(kind, pos, w, ports, axes, config):
     pos = np.asarray(pos, dtype=float)
     w = np.asarray(w, dtype=float)
-    g = ud_graph(pos, config.blockade_radius)
-    sol = solve_mwis(g, w)
+    sol = solve_mwis(ud_graph(pos, config.blockade_radius), w)
     states = _order_states(sol.masks, list(ports.values()))
     expected = _EXPECTED_STATES[kind]
     if len(states) != expected:
@@ -122,7 +119,7 @@ def _finish(kind, pos, w, ports, axes, config):
             f"{expected}; geometry is invalid at ratio {config.interaction_ratio}"
         )
     slots = _slots(states, list(ports.values()), len(w))
-    return Gadget(kind, pos, w, ports, axes, states, slots, g)
+    return Gadget(kind, pos, w, ports, axes, states, slots)
 
 
 def _make_link(length, config):

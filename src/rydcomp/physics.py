@@ -223,7 +223,7 @@ def spectrum(
     """
     pos = _planar(positions)
     n = len(pos)
-    if window < 0:
+    if not window >= 0:  # NaN fails this too
         raise ValidationError("window must be non-negative")
     det = np.broadcast_to(np.asarray(detunings, dtype=float), (n,)).astype(float)
     pairs, peak = _block_enumerate(pos, det, c6, window, hint_configs, max_frontier)

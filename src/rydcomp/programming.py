@@ -868,7 +868,7 @@ class ProgrammedLayout:
 
     ``w1``/``w2`` document the weight bookkeeping (tail-compensated and
     homogenised); the physical output is ``positions`` (computational atoms
-    first, then anchors) with the same detuning everywhere.
+    first, then anchors) driven by ``instance.config.detuning`` everywhere.
     """
 
     instance: MWISInstance
@@ -876,7 +876,6 @@ class ProgrammedLayout:
     w2: np.ndarray
     anchors: tuple
     positions: np.ndarray
-    detunings: np.ndarray
     logical: tuple  # LogicalState records, masks over computational atoms
 
     @property
@@ -909,8 +908,7 @@ def build_global_layout(program, config, *, link_length=5) -> ProgrammedLayout:
         )
     else:
         pos = instance.positions.copy()
-    det = np.full(len(pos), config.detuning)
-    return ProgrammedLayout(instance, w1, w2, tuple(anchors), pos, det, logical)
+    return ProgrammedLayout(instance, w1, w2, tuple(anchors), pos, logical)
 
 
 # ---------------------------------------------------------------------------

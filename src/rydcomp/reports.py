@@ -247,9 +247,9 @@ def verification_report(result, logical_masks, anchor_mask, config, *, hashes=No
 
     ``result`` is a :class:`~rydcomp.physics.SpectrumResult` over the full
     layout, ``logical_masks`` the intended full configurations (anchors
-    included) and ``anchor_mask`` the always-excited atoms.  The gap to the
-    first bulk state is reported only when a bulk state actually falls
-    inside the window.  Decode consistency is the caller's to assert (it
+    included) and ``anchor_mask`` the always-excited atoms.  The gap from
+    the top logical state to the first bulk state is reported only when the
+    window lists both.  Decode consistency is the caller's to assert (it
     needs the problem oracle); fill it in on the returned dict.
     """
     unit = config.energy_unit
@@ -283,9 +283,8 @@ def verification_report(result, logical_masks, anchor_mask, config, *, hashes=No
             "spread": hi - lo,
             "spread_over_unit": (hi - lo) / unit,
         }
-    if bulk:
-        top = max(band) if band else e0
-        report["gap_to_bulk"] = min(bulk) - top
+    if band and bulk:
+        report["gap_to_bulk"] = min(bulk) - max(band)
     report["hashes"] = dict(hashes or {})
     return report
 

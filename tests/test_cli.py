@@ -126,6 +126,12 @@ class TestVerificationReport:
         assert rep["gap_to_bulk"] == pytest.approx(0.6)
         assert rep["ground_all_logical"] and rep["anchors_excited"]
 
+        # bulk states but no logical one: no band, so no gap above it either
+        only_bulk = self.result([(-2.0, 0b1100), (-1.4, 0b0110)])
+        rep = reports.verification_report(only_bulk, logical, anchor, self.CFG)
+        assert rep["logical_band"] is None
+        assert "gap_to_bulk" not in rep
+
     def test_anchor_and_logical_flags_fail_correctly(self):
         anchor = 0b1000
         logical = (0b1001, 0b1010)
@@ -319,6 +325,13 @@ class TestVerify:
         if code:
             assert "problem needs a 'family'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "-0.01"])
+    def test_bad_window_is_validation_error(self, tmp_path, capsys, window):
+        code, out = run(tmp_path, "verify", "--problem", "link:3", "--window", window)
+        assert code == 2
+        assert "window must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_oracle_returns_verification_exit(self, tmp_path, monkeypatch):
         # an oracle that calls everything suboptimal must flip the decode flag
         monkeypatch.setattr(cli, "brute_force_optimum", lambda p: (-1e9, ()))
@@ -370,6 +383,9 @@ class TestSweep:
         assert code == 2
         code, _ = run(tmp_path, "sweep", "--param", "dy", "--steps", "0")
         assert code == 2
+        for bad in ("nan:0.1", "0:inf", "-inf:0"):
+            code, _ = run(tmp_path, "sweep", "--param", "dy", f"--range={bad}")
+            assert code == 2, bad
 
     def test_even_link_length_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--param", "dy", "--link-length", "4")
@@ -396,6 +412,24 @@ class TestEndToEnd:
             for state in trial["ground"]:
                 assert state["logical"]
                 assert state["value"] == pytest.approx(trial["optimum"], abs=1e-9)
+
+    def test_trials_agree_with_verify(self, tmp_path):
+        # each trial runs verify's problem check: verify on the trial's own
+        # problem file gives the same verdict, gap and decode
+        path = problem_file(tmp_path, K2)
+        code, out = run(tmp_path, "endtoend", "--problem", path, "--trials", "2", "--seed", "5")
+        assert code == 0
+        doc = json.loads((out / "endtoend.json").read_text())
+        for trial in doc["results"]:
+            name = f"trial{trial['trial']}"
+            trial_path = problem_file(tmp_path, trial["problem"], f"{name}.json")
+            _, vout = run(tmp_path / name, "verify", "--problem", trial_path)
+            report = json.loads((vout / "report.json").read_text())
+            assert trial["verified"] == report["verified"]
+            assert trial["gap_to_bulk"] == report.get("gap_to_bulk")
+            assert trial["match"] == report["decode_consistent"]
+            assert trial["optimum"] == report["optimum"]
+            assert trial["n_ground"] == report["ground_degeneracy"]
 
     def test_different_seed_changes_draws(self, tmp_path):
         path = problem_file(tmp_path, K2)

@@ -76,7 +76,7 @@ class TestFrozenCatalogue:
         assert list(g.weights) == [1, 2, 2, 2, 1]
         assert g.logical_states == (0b10101, 0b01010)
         assert state_weight(g, 0) == 4.0
-        assert len(g.graph.edges) == 4
+        assert len(ud_graph(g.positions, CFG.blockade_radius).edges) == 4
         assert g.ports == {"p0": 0, "p1": 4}
         assert g.comp_slots == {1: (1, 3)}
 
@@ -86,7 +86,7 @@ class TestFrozenCatalogue:
         # reference: all three corners; then one corner plus the far midpoint
         assert g.logical_states == (0b000111, 0b100001, 0b010010, 0b001100)
         assert state_weight(g, 0) == 3.0
-        assert len(g.graph.edges) == 9
+        assert len(ud_graph(g.positions, CFG.blockade_radius).edges) == 9
         assert g.comp_slots == {1: (5,), 2: (4,), 3: (3,)}
         d = np.linalg.norm(g.positions[0] - g.positions[1])
         assert d == pytest.approx(2.0)
@@ -101,7 +101,7 @@ class TestFrozenCatalogue:
             0b010010100,  # r and the two q-side midpoints
         )
         assert state_weight(g, 0) == 6.0
-        assert len(g.graph.edges) == 16
+        assert len(ud_graph(g.positions, CFG.blockade_radius).edges) == 16
         assert g.comp_slots == {1: (6,), 2: (5, 8), 3: (4, 7)}
         # closest non-edge pair sits at sqrt(3): safe margin for 1 < ratio < 27
         dist = np.linalg.norm(g.positions[:, None] - g.positions[None, :], axis=-1)
@@ -113,7 +113,7 @@ class TestFrozenCatalogue:
         assert list(g.weights) == [1, 3, 2, 1, 2, 1]
         assert g.logical_states == (0b101010, 0b010101)
         assert state_weight(g, 0) == 5.0
-        assert len(g.graph.edges) == 5
+        assert len(ud_graph(g.positions, CFG.blockade_radius).edges) == 5
         assert g.comp_slots == {1: (2, 4)}
 
     def test_f3(self):
@@ -124,7 +124,7 @@ class TestFrozenCatalogue:
         assert g.ports == {"a": 7, "b": 9, "c": 11}
         assert g.logical_states == (2695, 1441, 1618, 2380)
         assert state_weight(g, 0) == 9.0
-        assert len(g.graph.edges) == 15
+        assert len(ud_graph(g.positions, CFG.blockade_radius).edges) == 15
         assert g.comp_slots == {1: (5,), 2: (4,), 3: (3,)}
 
 
@@ -148,7 +148,8 @@ def test_logical_states_are_degenerate(kind, length):
 def test_step_ground_configs_are_logical(kind, length):
     g = build(kind, length)
     coupling = 2.0 * float(g.weights.max()) + 1.0
-    energies = [step_energy(g.graph, g.weights, coupling, m) for m in range(1 << g.n)]
+    graph = ud_graph(g.positions, CFG.blockade_radius)
+    energies = [step_energy(graph, g.weights, coupling, m) for m in range(1 << g.n)]
     floor = min(energies)
     ground = {m for m, e in enumerate(energies) if abs(e - floor) < 1e-9}
     assert ground == set(g.logical_states)
@@ -200,7 +201,8 @@ def test_rigid_motion_preserves_structure(angle, tx, ty):
     d1 = np.linalg.norm(moved.positions[:, None] - moved.positions[None, :], axis=-1)
     assert np.allclose(d0, d1, atol=1e-9)
     assert moved.logical_states == g.logical_states
-    assert ud_graph(moved.positions, CFG.blockade_radius).edges == g.graph.edges
+    edges = ud_graph(g.positions, CFG.blockade_radius).edges
+    assert ud_graph(moved.positions, CFG.blockade_radius).edges == edges
     for v in moved.port_axes.values():
         assert math.hypot(*v) == pytest.approx(1.0)
 

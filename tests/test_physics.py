@@ -344,6 +344,11 @@ class TestSpectrumDense:
             x.config for x in full.entries[:5]
         ]
 
+    @pytest.mark.parametrize("window", [-0.1, float("nan")])
+    def test_window_must_be_non_negative(self, window):
+        with pytest.raises(ValidationError, match="non-negative"):
+            physics.spectrum(chain(3), 1.0, 3.0, window=window)
+
     def test_logical_flags(self):
         pos = chain(3)
         marks = [physics.mask_of([0, 2]), physics.mask_of([1])]

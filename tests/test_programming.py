@@ -820,7 +820,7 @@ class TestAnchors:
         )
         masks = lay.full_masks()
         phys = np.array(
-            [diagonal_energy(lay.positions, lay.detunings, m, cfg.c6) for m in masks]
+            [diagonal_energy(lay.positions, cfg.detuning, m, cfg.c6) for m in masks]
         )
         want = np.array(
             [parity_energy(lay.instance.program, s.values) for s in lay.logical]
@@ -838,7 +838,7 @@ class TestAnchors:
         masks = lay.full_masks()
         res = spectrum(
             lay.positions,
-            lay.detunings,
+            cfg.detuning,
             cfg.c6,
             0.03 * cfg.energy_unit,
             hint_configs=masks,
@@ -867,7 +867,7 @@ class TestAnchors:
         unit = cfg.energy_unit
         res = spectrum(
             lay.positions,
-            lay.detunings,
+            cfg.detuning,
             cfg.c6,
             0.02 * unit,
             hint_configs=masks,
