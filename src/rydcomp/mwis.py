@@ -7,8 +7,8 @@ collected, never broken arbitrarily.  The solver is a dynamic program along
 a bandwidth-reducing sweep of the graph, so on the long, narrow layouts that
 assembly builds its work grows linearly with their length: on the kite
 grids ``K_{2,3}`` to ``K_{2,6}`` (80 to 185 atoms) no layer holds more than
-80 states, and ``K_{2,6}`` (128 maximisers) solves in 8 to 14 ms on one
-core of a 2-vCPU Xeon host.
+80 states, and ``K_{2,6}`` (128 maximisers) solves in 3.4 to 3.6 ms (best
+of 20 calls) on one core of a 2-vCPU Xeon host.
 
 Configurations are integer bitmasks, node ``i`` on bit ``i``, matching
 ``physics``.
@@ -143,18 +143,18 @@ def solve_mwis(g: UDGraph, weights, tol: float = 1e-9) -> MWISSolution:
     decided in that order.  The state before vertex ``k`` is the set of
     later vertices that the chosen ones block, shifted so that bit 0 is
     vertex ``k``; taking ``k`` needs bit 0 clear and adds its later
-    neighbours.  Each layer keeps the best prefix value of every state and
-    the edges into it, so one layer is only as wide as the sweep's
-    frontier.  An edge's regret is how far its prefix value falls short of
-    the best one of the state it enters, and a path falls short of the
-    optimum by the sum of its regrets.  A backtrack from the last layer
-    follows an edge only while that sum stays within ``tol``, which yields
-    every near-tie exactly once.  Edges on a best path regret exactly zero,
-    so rounding never loses the optimum itself, even at ``tol=0``.  On
-    the kite grids ``K_{2,3}`` to ``K_{2,6}`` (80 to 185 atoms, 16 to 128
-    maximisers) the widest layer holds 80 states, and ``K_{2,6}`` solves
-    in 8 to 14 ms on one core of a 2-vCPU Xeon host.  ``peak_frontier``
-    reports the widest layer.
+    neighbours.  Each layer keeps the best prefix value of every state, so
+    one layer is only as wide as the sweep's frontier; the backtrack
+    re-derives a layer's edges from it.  An edge's regret is how far its
+    prefix value falls short of the best one of the state it enters, and a
+    path falls short of the optimum by the sum of its regrets.  A backtrack
+    from the last layer follows an edge only while that sum stays within
+    ``tol``, which yields every near-tie exactly once.  Edges on a best path
+    regret exactly zero, so rounding never loses the optimum itself, even at
+    ``tol=0``.  On the kite grids ``K_{2,3}`` to ``K_{2,6}`` (80 to 185
+    atoms, 16 to 128 maximisers) the widest layer holds 80 states, and
+    ``K_{2,6}`` solves in 3.4 to 3.6 ms (best of 20 calls) on one core of a
+    2-vCPU Xeon host.  ``peak_frontier`` reports the widest layer.
     """
     w = np.asarray(weights, dtype=float)
     if len(w) != g.n:
@@ -166,38 +166,46 @@ def solve_mwis(g: UDGraph, weights, tol: float = 1e-9) -> MWISSolution:
     for new, old in enumerate(order):
         label[old] = new
     w = w[order].tolist()
+    later = [  # later[k]: later neighbours of vertex k, shifted so bit 0 is k
+        sum(1 << label[u] for u in _bits(g.neighbor_masks[old])) >> k
+        for k, old in enumerate(order)
+    ]
     layer = {0: 0.0}
     prefix = []  # prefix[k]: state before vertex k -> best value so far
-    into = []  # into[k]: state before vertex k + 1 -> [(state before k, taken)]
-    for k, old in enumerate(order):
-        later = sum(1 << label[u] for u in _bits(g.neighbor_masks[old])) >> k
+    for k in range(g.n):
         prefix.append(layer)
-        nxt, edges = {}, {}
+        nxt = {}
         for s, val in layer.items():
-            moves = [(s >> 1, val, False)]
+            t = s >> 1
+            if val > nxt.get(t, -1.0):
+                nxt[t] = val
             if not s & 1:  # vertex k is not blocked: it may be taken
-                moves.append(((s | later) >> 1, val + w[k], True))
-            for t, tv, taken in moves:
-                edges.setdefault(t, []).append((s, taken))
+                t, tv = (s | later[k]) >> 1, val + w[k]
                 if tv > nxt.get(t, -1.0):
                     nxt[t] = tv
-        into.append(edges)
         layer = nxt
     prefix.append(layer)
+    # Re-deriving the edges keeps the forward pass to int -> float dicts,
+    # which the cyclic garbage collector does not track.  Stored edge lists
+    # would keep thousands of tracked objects alive per solve and trigger
+    # collections, full ones of 6-16 ms on the kite grids.
     paths = {0: [(0.0, 0)]}  # state -> (summed regret, mask) of each kept suffix
     for k in range(g.n - 1, -1, -1):
         before, after, bit = prefix[k], prefix[k + 1], 1 << order[k]
         back = {}
-        for t, suffixes in paths.items():
-            for s, taken in into[k][t]:
-                regret = (before[s] + w[k] if taken else before[s]) - after[t]
-                add = bit if taken else 0
-                if regret == 0.0:  # every suffix kept so far stays
-                    keep = [(d, m | add) for d, m in suffixes] if add else suffixes
-                else:
-                    keep = [(d + regret, m | add) for d, m in suffixes if d + regret >= -tol]
-                if keep:
-                    back.setdefault(s, []).extend(keep)
+        for s, val in before.items():
+            for t, tv, add in ((s >> 1, val, 0), ((s | later[k]) >> 1, val + w[k], bit)):
+                suffixes = paths.get(t)
+                if suffixes is not None:
+                    regret = tv - after[t]
+                    if regret == 0.0:  # every suffix kept so far stays
+                        keep = [(d, m | add) for d, m in suffixes] if add else suffixes
+                    else:
+                        keep = [(d + regret, m | add) for d, m in suffixes if d + regret >= -tol]
+                    if keep:
+                        back.setdefault(s, []).extend(keep)
+                if s & 1:  # vertex k is blocked: no edge takes it
+                    break
         paths = back
     masks = tuple(sorted(m for _, m in paths[0]))
     return MWISSolution(float(layer[0]), masks, max(map(len, prefix)))

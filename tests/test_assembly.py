@@ -1,5 +1,7 @@
 """Layout assembly: geometry, chain bookkeeping, logical-subspace audit."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,27 @@ class TestKiteGrid:
             assert peaks[-1] <= 100  # before a wider grid can run away
         assert len(set(peaks[1:])) == 1
         assert peaks[0] <= peaks[1]
+
+    def test_solver_runs_no_garbage_collection(self):
+        # Every layer of the sweep DP is an int -> float dict, which the
+        # cyclic collector does not track.  Per-layer edge lists of tuples
+        # would run about 11 young-generation collections per K_{2,4}
+        # solve, and now and then a full one of 6-16 ms.
+        inst = instance("K_{2,4}")
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            sol = solve_mwis(inst.graph, inst.weights)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(sol.masks) == 2**5
+        assert len(starts) <= 1
 
 
 @pytest.mark.parametrize("link_length", [3, 5, 7])
