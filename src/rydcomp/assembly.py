@@ -39,7 +39,7 @@ from .errors import GeometryError, PipelineError, ValidationError
 from .gadgets import Gadget, _Builder, _radial_tails, make_gadget
 from .mwis import solve_mwis, ud_graph
 from .parity import ParityProgram, violations
-from .physics import PhysicsConfig
+from .physics import PhysicsConfig, occupancy
 
 
 @dataclass(frozen=True)
@@ -251,10 +251,7 @@ def _read_rows(instance: MWISInstance, masks):
     atoms = np.concatenate([ch.atoms for ch in chains])
     phases = np.concatenate([ch.phases for ch in chains]).astype(np.uint8)
     starts = np.cumsum([0] + [len(ch.atoms) for ch in chains[:-1]])
-    width = (max([instance.n_atoms] + [mask.bit_length() for mask in masks]) + 7) // 8
-    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, atoms] ^ phases
+    bits = occupancy(masks, instance.n_atoms)[:, atoms] ^ phases
     values = np.minimum.reduceat(bits, starts, axis=1)
     bad = values != np.maximum.reduceat(bits, starts, axis=1)
     for mask, row, wrong in zip(masks, values.tolist(), bad):

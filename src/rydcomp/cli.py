@@ -41,7 +41,9 @@ from . import reports
 from .errors import GeometryError, ProblemFormatError, RydcompError, ValidationError
 from .gadgets import KINDS, make_gadget
 from .parity import compile_parity, decode, decompose_all
-from .physics import PhysicsConfig, energies, mask_of, probe_sum, spectrum
+from .physics import (
+    PhysicsConfig, distances, energies, mask_of, occupancy, probe_sum, spectrum
+)
 from .problems import brute_force_optimum, evaluate, load_problem, parse_problem
 from .programming import balance_open_ports, build_global_layout, place_anchor
 
@@ -123,18 +125,16 @@ def build_link_testbed(config: PhysicsConfig, length: int = 5) -> LinkTestbed:
     ) | anchor_bits
     x = float(pos[center, 0])
     e_on, e_off = energies(base, config.detuning, (center_on, center_off), config.c6).tolist()
-    flips = [(center_on >> a & 1) - (center_off >> a & 1) for a in range(len(base))]
-    pull = probe_sum(base, flips, config.c6)
+    on, off = occupancy((center_on, center_off), len(base)).astype(float)
+    pull = probe_sum(base, on - off, config.c6)
     _, height = place_anchor(pull, (x, 0.0), (0.0, 1.0), e_off - e_on, config, cap=5.0)
     positions = np.vstack([base, [x, height]])
     return LinkTestbed(config, positions, center_on, center_off, length + 2, height)
 
 
 def _guard_overlap(positions, spacing, label):
-    pos = np.asarray(positions, dtype=float)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
-    dist[np.diag_indices(len(pos))] = np.inf
+    dist = distances(positions, positions)
+    dist[np.diag_indices(len(dist))] = np.inf
     if dist.min() < 0.05 * spacing:
         raise GeometryError(f"sweep value {label} brings two atoms on top of each other")
 

@@ -29,11 +29,6 @@ class GeometryError(RydcompError):
 class NoRootInRange(RydcompError):
     """A bracketed root search found no sign change in the allowed interval."""
 
-    def __init__(self, message, lo=None, hi=None):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi
-
 
 class EnumerationBudgetError(RydcompError):
     """An exact enumeration would exceed the configured budget."""
@@ -44,4 +39,3 @@ class PipelineError(RydcompError):
 
     def __init__(self, stage, message):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import GeometryError, ValidationError
 from .mwis import solve_mwis, ud_graph
-from .physics import PhysicsConfig
+from .physics import PhysicsConfig, distances
 
 KINDS = ("link", "three_body", "kite", "fork", "f3")
 
@@ -253,8 +253,7 @@ class _Builder:
         if fresh and n_before:
             # new atoms against every placed atom but the fused ones; the
             # first clash in (local, gid) order is the one reported
-            diff = gadget.positions[fresh][:, None, :] - self.pos[None, :, :]
-            clash = np.linalg.norm(diff, axis=2) < rb
+            clash = distances(gadget.positions[fresh], self.pos) < rb
             clash[:, list(merge.values())] = False
             rows, gids = np.nonzero(clash)
             if len(rows):

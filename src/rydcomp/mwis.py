@@ -49,6 +49,8 @@ def ud_graph(positions, radius) -> UDGraph:
         raise ValidationError("unit-disk radius must be positive")
     pos = pos.reshape(n, 2)
     i, j = np.triu_indices(n, 1)  # row-major: the (i < j) pair order
+    # not physics.distances: a 1-ulp change at the radius can flip an edge,
+    # and at ratio 8 the fork's tines sit exactly at it
     d = np.hypot(*(pos[i] - pos[j]).T)
     near = np.abs(d - radius) < BOUNDARY_TOL
     close = d < radius

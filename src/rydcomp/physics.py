@@ -8,6 +8,8 @@ with a global, resonant drive (so the drive amplitude never enters the
 energies; it is recorded on the config purely for layout documents).
 Occupation patterns are plain integer bitmasks with atom ``i`` on bit ``i``.
 Whole patterns are scored over ``pair_matrix`` (``energies``, the spectra).
+Point-to-site distances come from ``distances`` and the 0/1 rows of masks
+from ``occupancy``, here and everywhere else in the package.
 Every anchor root solve runs on ``probe_sum``, the signed pair sum that probe
 atoms feel from fixed sites.  Its one kernel scores many placements at once,
 and a single placement is that kernel on one row, so a batched value is the
@@ -88,14 +90,19 @@ def pair_matrix(positions, c6):
     """
     pos = _planar(positions)
     n = len(pos)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
+    dist = distances(pos, pos)
     off = ~np.eye(n, dtype=bool)
     if n > 1 and dist[off].min() < _COINCIDENT:
         raise GeometryError("coincident atoms in layout")
     v = np.zeros((n, n))
     v[off] = c6 / dist[off] ** 6
     return v
+
+
+def distances(points, sites):
+    """Euclidean distance from every point to every site, ``(points, sites)``."""
+    p, s = _planar(points), _planar(sites)
+    return np.sqrt(((p[:, None] - s[None]) ** 2).sum(-1))
 
 
 def _planar(positions):
@@ -110,6 +117,17 @@ def mask_of(nodes) -> int:
     for i in nodes:
         m |= 1 << int(i)
     return m
+
+
+def occupancy(masks, n):
+    """0/1 ``uint8`` rows of ``masks``, bit ``a`` in column ``a < n``.
+
+    Bits at or above ``n`` are dropped.
+    """
+    full, width = (1 << n) - 1, (n + 7) // 8
+    rows = [(int(m) & full).to_bytes(width, "little") for m in masks]
+    packed = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 def bitstring(mask: int, n: int) -> str:
@@ -162,8 +180,7 @@ def energies(positions, detunings, masks, c6):
     pos = _planar(positions)
     n = len(pos)
     det = np.broadcast_to(np.asarray(detunings, dtype=float), (n,))
-    occ = np.array([[(int(m) >> a) & 1 for a in range(n)] for m in masks], dtype=float)
-    return _energies(occ.reshape(len(masks), n), det, pair_matrix(pos, c6))
+    return _energies(occupancy(masks, n), det, pair_matrix(pos, c6))
 
 
 @dataclass(frozen=True)
@@ -296,6 +313,7 @@ def _config_table(blk, det, v, slack):
     masks = [0]
     for k, partners in enumerate((hard @ (1 << np.arange(len(atoms)))).tolist()):
         masks += [m | 1 << k for m in masks if not m & partners]
+    # masks of at most _BLOCK_SIZE bits: an integer shift beats ``occupancy``
     occ = ((np.array(masks)[:, None] >> np.arange(len(atoms))) & 1).astype(float)
     return atoms, occ, _energies(occ, d, vbb)
 
@@ -487,9 +505,10 @@ def _block_enumerate(pos, det, c6, window, hints, max_frontier):
     # to.  The decoded state is close to the ground state on chains, but on
     # kite grids from K_{2,6} on it lies 0.2-0.3 detunings above it, so
     # there the hints set the cutoff and keep the tables small.
-    rows = [_decode(tables, bounds[0], v)]
-    rows += [[(int(h) >> a) & 1 for a in range(n)] for h in hints]
-    cutoff = min(0.0, float(_energies(np.array(rows), det, v).min())) + slack
+    rows = _decode(tables, bounds[0], v)[None]
+    if len(hints):  # most calls pass none and skip the unpack and the stack
+        rows = np.vstack([rows, occupancy(hints, n)])
+    cutoff = min(0.0, float(_energies(rows, det, v).min())) + slack
     tables, bounds = _path_prune(tables, v, cutoff, bounds)
     while len(tables) > 1 and all(len(t[2]) for t in tables):
         tables = _join_pass(tables, v, cutoff, max_frontier, bounds)

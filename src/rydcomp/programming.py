@@ -57,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .gadgets import Gadget
-from .physics import energies, mask_of, pair_matrix, probe_sum
+from .physics import distances, energies, mask_of, occupancy, pair_matrix, probe_sum
 
 # Sweeping a slot deposit onto the ports: the half-difference map sends the
 # per-state deposits (a, b, c) to port increments that move every logical
@@ -183,9 +183,7 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
             break
     else:
         raise NoRootInRange(
-            f"no sign change against target {target:.6g} in [{lo:.6g}, {hi:.6g}]",
-            lo,
-            hi,
+            f"no sign change against target {target:.6g} in [{lo:.6g}, {hi:.6g}]"
         )
     a, b = (ys[k] for k in bracket)
     fa, fb = (float(miss[k]) for k in bracket)
@@ -223,9 +221,7 @@ def solve_bracketed(fn, lo, hi, *, target=0.0, tol=1e-12, scan=None):
         x1, f1 = x2, g(x2)
     if abs(f1) <= tol:
         return x1
-    raise NoRootInRange(
-        f"residual {abs(f1):.3g} stuck above tolerance {tol:.3g}", lo, hi
-    )
+    raise NoRootInRange(f"residual {abs(f1):.3g} stuck above tolerance {tol:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +515,7 @@ def _clearance(instance, ch, q):
     others = [a for a in range(instance.n_atoms) if a not in mine]
     if not others:
         return math.inf
-    d = instance.positions[others] - np.asarray(q, dtype=float)
-    return float(np.sqrt((d**2).sum(axis=1)).min())
+    return float(distances([q], instance.positions[others]).min())
 
 
 def _corridor_cap(instance, ch, base, direction):
@@ -552,13 +547,10 @@ def _corridor_cap(instance, ch, base, direction):
     standoff = instance.config.blockade_radius + 0.2 * s
     bad = np.zeros(len(ts), dtype=bool)
     if foreign:
-        diff = pts[:, None, :] - instance.positions[foreign][None, :, :]
-        near = np.sqrt((diff**2).sum(-1)).min(axis=1)
+        near = distances(pts, instance.positions[foreign]).min(axis=1)
         bad |= near < np.maximum(ts, standoff)
     if near_own:
-        diff = pts[:, None, :] - instance.positions[near_own][None, :, :]
-        near = np.sqrt((diff**2).sum(-1)).min(axis=1)
-        bad |= near < standoff
+        bad |= distances(pts, instance.positions[near_own]).min(axis=1) < standoff
     if not bad.any():
         return _CORRIDOR_LIMIT
     k = int(np.argmax(bad))
@@ -741,18 +733,10 @@ def service_functional(instance: MWISInstance, name):
                     gain[idx - 1] += sigma[p] * frac
         if not gain.any():
             continue
-        row = gain @ _TRANSFER
-        states = e.gadget.logical_states
-        for loc, a in enumerate(e.nodes):
-            if a in chain_atoms:
-                continue
-            jumps = np.array(
-                [
-                    float((states[i] >> loc) & 1) - float((states[0] >> loc) & 1)
-                    for i in (1, 2, 3)
-                ]
-            )
-            coeff[a] += float(row @ jumps)
+        occ = occupancy(e.gadget.logical_states, e.gadget.n).astype(float)
+        jumps = (gain @ _TRANSFER) @ (occ[1:4] - occ[0])
+        free = [a not in chain_atoms for a in e.nodes]
+        coeff[np.array(e.nodes)[free]] += jumps[free]
     return probe_sum(instance.positions, coeff, cfg.c6)
 
 
@@ -839,17 +823,16 @@ def plan_anchors(instance: MWISInstance, w2: np.ndarray):
 def _check_sites(instance, anchors):
     rb = instance.config.blockade_radius
     s = instance.config.spacing
-    for a in anchors:
-        d = instance.positions - np.asarray(a.position, dtype=float)
-        dmin = float(np.sqrt((d**2).sum(axis=1)).min())
-        if dmin <= rb:
-            raise GeometryError(
-                f"anchor for {a.variable} is not accessible: nearest "
-                f"computational atom at {dmin:.3f} is inside the blockade disk"
-            )
     pos = np.array([a.position for a in anchors], dtype=float).reshape(-1, 2)
-    dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1))
-    close = np.argwhere(np.triu(dist < 2.0 * s, 1))  # i < j, row-major
+    near = distances(pos, instance.positions).min(axis=1)
+    inside = np.flatnonzero(near <= rb)
+    if len(inside):
+        k = inside[0]
+        raise GeometryError(
+            f"anchor for {anchors[k].variable} is not accessible: nearest "
+            f"computational atom at {near[k]:.3f} is inside the blockade disk"
+        )
+    close = np.argwhere(np.triu(distances(pos, pos) < 2.0 * s, 1))  # i < j, row-major
     if len(close):
         i, j = close[0]
         raise GeometryError(
@@ -950,74 +933,51 @@ def balance_open_ports(gadget: Gadget, config):
     logical state, so an orbit's split is the bare gadget's split (whole-
     state energies) plus one :func:`physics.probe_sum` of the anchors over
     the two states' occupation difference, and the root solve sets that sum
-    against the bare split.  A last check scores the full masks on the
-    stacked layout.  Only this polish is specific to free-standing gadgets.
+    against the bare split.  Every anchor site comes from one ``anchor_rows``
+    over an array of port distances: a root solve's scalar call is its batch
+    on one row, so the two agree bit for bit.  A last check scores the full
+    masks on the stacked layout.  Only this polish is specific to
+    free-standing gadgets.
     """
     cfg = config
     dlt = cfg.detuning
     lone = lone_instance(gadget, cfg)
     w2 = homogenize(lone, tail_compensate(lone))
     names = list(gadget.ports)
-    dist = {}
-    for name in names:
-        node = gadget.ports[name]
-        miss = (1.0 - w2[node]) * dlt
-        if miss <= 0.0:
-            raise ValidationError(
-                f"port {name} wants weight {w2[node]:.3f} >= 1; nothing to anchor"
-            )
-        dist[name] = (cfg.c6 / miss) ** (1.0 / 6.0)
-
-    rays = []
-    for name in names:
-        axis = np.asarray(gadget.port_axes[name], dtype=float)
-        base = gadget.positions[gadget.ports[name]]
-        rays.append((base.tolist(), axis.tolist(), float(np.linalg.norm(axis))))
+    nodes = [gadget.ports[name] for name in names]
+    miss = (1.0 - w2[nodes]) * dlt
+    if (miss <= 0.0).any():
+        k = int(np.argmax(miss <= 0.0))
+        raise ValidationError(
+            f"port {names[k]} wants weight {w2[nodes[k]]:.3f} >= 1; nothing to anchor"
+        )
+    dist = (cfg.c6 / miss) ** (1.0 / 6.0)
+    bases = gadget.positions[nodes]
+    axes = np.array([gadget.port_axes[name] for name in names], dtype=float)
+    norms = np.linalg.norm(axes, axis=1, keepdims=True)
 
     def anchor_rows(d):
-        # base + d * axis / |axis|, in floats, term by term as numpy does it
-        return [
-            [b + d[name] * u / norm for b, u in zip(base, axis)]
-            for name, (base, axis, norm) in zip(names, rays)
-        ]
+        """Anchor sites, ``(..., ports, 2)``, at the port distances ``d``."""
+        return bases + d[..., None] * axes / norms
 
     states = gadget.logical_states
     bare = energies(gadget.positions, dlt, states, cfg.c6).tolist()
-    orbits = _ORBITS[gadget.kind]
-    pulls = {
-        (hi, lo): probe_sum(
-            gadget.positions,
-            [(states[hi] >> a & 1) - (states[lo] >> a & 1) for a in range(gadget.n)],
-            cfg.c6,
-        )
-        for _, (hi, lo) in orbits
-    }
+    occ = occupancy(states, gadget.n).astype(float)
+    orbits = [
+        (np.isin(names, members), probe_sum(gadget.positions, occ[hi] - occ[lo], cfg.c6),
+         bare[lo] - bare[hi])
+        for members, (hi, lo) in _ORBITS[gadget.kind]
+    ]
     scale = _BALANCE_TOL * cfg.energy_unit
-
-    def conditions(d):
-        rows = anchor_rows(d)
-        return [pulls[hi, lo](rows) - (bare[lo] - bare[hi]) for _, (hi, lo) in orbits]
-
     for _ in range(_BALANCE_ROUNDS):
-        for members, (hi, lo) in orbits:
-            pull = pulls[hi, lo]
-
-            def rows_at(y):
-                # y is one distance or an array of them; each element of a
-                # member's entries then takes the scalar call's float steps
-                return anchor_rows({**dist, **dict.fromkeys(members, y)})
-
-            def gap_batch(ys):
-                cols = np.broadcast_arrays(*(c for row in rows_at(ys) for c in row))
-                return pull.batch(np.stack(cols, axis=-1).reshape(len(ys), -1, 2))
-
-            y = solve_bracketed(
-                lambda y: pull(rows_at(y)), 0.25 * cfg.spacing, 6.0 * cfg.spacing,
-                target=bare[lo] - bare[hi], tol=scale, scan=gap_batch,
+        for moving, pull, split in orbits:
+            dist[moving] = solve_bracketed(
+                lambda y: pull(anchor_rows(np.where(moving, y, dist))),
+                0.25 * cfg.spacing, 6.0 * cfg.spacing, target=split, tol=scale,
+                scan=lambda ys: pull.batch(anchor_rows(np.where(moving, ys[:, None], dist))),
             )
-            for name in members:
-                dist[name] = y
-        if max(abs(c) for c in conditions(dist)) <= scale:
+        rows = anchor_rows(dist)
+        if all(abs(pull(rows) - split) <= scale for _, pull, split in orbits):
             break
     else:
         raise PipelineError(
@@ -1025,9 +985,7 @@ def balance_open_ports(gadget: Gadget, config):
         )
 
     pos = np.vstack([gadget.positions, anchor_rows(dist)])
-    anchors = tuple(
-        (name, tuple(pos[gadget.n + k]), dist[name]) for k, name in enumerate(names)
-    )
+    anchors = tuple(zip(names, map(tuple, pos[gadget.n :]), dist.tolist()))
     anchored = AnchoredGadget(gadget, w2, anchors, pos)
     es = energies(pos, dlt, anchored.full_masks(), cfg.c6)
     worst = float(np.abs(es - es[0]).max())

@@ -106,6 +106,25 @@ def _physics_section(config) -> dict:
     }
 
 
+def _atom_table(positions, owners, anchors):
+    """A document's atom rows and the fingerprint of their positions.
+
+    Computational atoms come first, one per row of ``positions`` with its
+    owning gadget from ``owners``; then one row per ``(position, fields)``
+    of ``anchors``, with the anchor's own ``fields`` after the shared ones.
+    """
+    atoms = [
+        {"id": i, "x": x, "y": y, "kind": "computational", "gadget": g}
+        for i, ((x, y), g) in enumerate(zip(positions.tolist(), owners))
+    ]
+    for position, fields in anchors:
+        x, y = (float(c) for c in position)
+        atoms.append(
+            {"id": len(atoms), "x": x, "y": y, "kind": "anchor", "gadget": None, **fields}
+        )
+    return atoms, fingerprint([[a["x"], a["y"]] for a in atoms])
+
+
 def layout_document(layout, *, link_length) -> dict:
     """Full description of a programmed layout, ready for ``write_json``.
 
@@ -121,31 +140,22 @@ def layout_document(layout, *, link_length) -> dict:
         for g in element.nodes:
             owner.setdefault(g, k)
 
-    atoms = []
-    for i in range(layout.n_comp):
-        atoms.append(
-            {
-                "id": i,
-                "x": float(inst.positions[i, 0]),
-                "y": float(inst.positions[i, 1]),
-                "kind": "computational",
-                "gadget": owner[i],
-            }
-        )
-    for k, anchor in enumerate(layout.anchors):
-        atoms.append(
-            {
-                "id": layout.n_comp + k,
-                "x": float(anchor.position[0]),
-                "y": float(anchor.position[1]),
-                "kind": "anchor",
-                "gadget": None,
-                "serves": list(anchor.variable),
-                "style": anchor.style,
-                "base_atom": anchor.base_atom,
-                "target": float(anchor.target),
-            }
-        )
+    atoms, positions = _atom_table(
+        inst.positions,
+        [owner[i] for i in range(layout.n_comp)],
+        [
+            (
+                anchor.position,
+                {
+                    "serves": list(anchor.variable),
+                    "style": anchor.style,
+                    "base_atom": anchor.base_atom,
+                    "target": float(anchor.target),
+                },
+            )
+            for anchor in layout.anchors
+        ],
+    )
 
     states = [
         {
@@ -187,7 +197,7 @@ def layout_document(layout, *, link_length) -> dict:
     }
     doc["hashes"] = {
         "problem": fingerprint(doc["problem"]),
-        "positions": fingerprint([[a["x"], a["y"]] for a in atoms]),
+        "positions": positions,
         "weights": fingerprint(weights),
         "document": fingerprint(doc),
     }
@@ -197,28 +207,14 @@ def layout_document(layout, *, link_length) -> dict:
 def gadget_document(anchored, config) -> dict:
     """Description of one free-standing anchored gadget."""
     gadget = anchored.gadget
-    atoms = [
-        {
-            "id": i,
-            "x": float(gadget.positions[i, 0]),
-            "y": float(gadget.positions[i, 1]),
-            "kind": "computational",
-            "gadget": 0,
-        }
-        for i in range(gadget.n)
-    ]
-    for k, (port, position, distance) in enumerate(anchored.anchors):
-        atoms.append(
-            {
-                "id": gadget.n + k,
-                "x": float(position[0]),
-                "y": float(position[1]),
-                "kind": "anchor",
-                "gadget": None,
-                "serves": [port],
-                "distance": float(distance),
-            }
-        )
+    atoms, positions = _atom_table(
+        gadget.positions,
+        [0] * gadget.n,
+        [
+            (position, {"serves": [port], "distance": float(distance)})
+            for port, position, distance in anchored.anchors
+        ],
+    )
     doc = {
         "kind": "gadget",
         "gadget_kind": gadget.kind,
@@ -232,7 +228,7 @@ def gadget_document(anchored, config) -> dict:
         ],
     }
     doc["hashes"] = {
-        "positions": fingerprint([[a["x"], a["y"]] for a in atoms]),
+        "positions": positions,
         "document": fingerprint(doc),
     }
     return doc

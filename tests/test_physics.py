@@ -102,6 +102,31 @@ class TestPairEnergies:
         with pytest.raises(GeometryError):
             physics.pair_matrix([[0.0, 0.0], [0.0, 0.0]], 1.0)
 
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @example(0, 0, 0)
+    @example(0, 3, 1)
+    @example(4, 0, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_distances_match_math_dist(self, k, m, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-8, 8, size=(k, 2))
+        sites = rng.uniform(-8, 8, size=(m, 2))
+        got = physics.distances(points, sites)
+        assert got.shape == (k, m)
+        for i, p in enumerate(points):
+            for j, q in enumerate(sites):
+                want = math.dist(p, q)
+                assert abs(got[i, j] - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 2))], ids=["list", "array"])
+    def test_distances_of_nothing_are_empty(self, empty):
+        assert physics.distances(empty, chain(3)).shape == (0, 3)
+        assert physics.distances(chain(2), empty).shape == (2, 0)
+
 
 def pair_sum(positions, detunings, mask, c6):
     """The package's whole-state pair sum of one pattern."""
@@ -311,6 +336,26 @@ class TestMaskHelpers:
         for mask in masks:  # bits at n and above are not rendered
             want = "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
             assert physics.bitstring(mask, n) == want
+
+
+class TestOccupancy:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=(1 << 400) - 1), max_size=8),
+        st.integers(min_value=0, max_value=130),
+    )
+    @example([], 0)
+    @example([], 5)
+    @example([(1 << 400) - 1, 1 << 9], 9)  # every bit at or above n is dropped
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_bit_form(self, masks, n):
+        got = physics.occupancy(masks, n)
+        want = [[(m >> a) & 1 for a in range(n)] for m in masks]
+        assert got.shape == (len(masks), n)
+        assert got.tolist() == want
+
+    def test_numpy_integer_masks(self):
+        masks = np.array([0b101, 0b010], dtype=np.int64)
+        assert physics.occupancy(masks, 3).tolist() == [[1, 0, 1], [0, 1, 0]]
 
 
 class TestSpectrumDense:

@@ -697,6 +697,28 @@ class TestAnchors:
         assert pos[0] == pytest.approx(0.0, abs=1e-12)
         assert pos[1] == pytest.approx(dist, abs=1e-12)
 
+    def test_window_grows_to_reach_a_weak_target(self):
+        # the root at 6.5 spacings lies beyond the first window [0.5, 5]:
+        # the window grows to 8 and finds it, but not under a cap of 6
+        prof = probe_sum([[0.0, 0.0]], [1.0], CFG4.c6)
+        target = CFG4.c6 / 6.5**6
+        _, dist = place_anchor(prof, (0.0, 0.0), (1.0, 0.0), target, CFG4)
+        assert dist == pytest.approx(6.5, abs=1e-6)
+        with pytest.raises(NoRootInRange, match=r"in \[0\.5, 6\]"):
+            place_anchor(prof, (0.0, 0.0), (1.0, 0.0), target, CFG4, cap=6.0)
+
+    def test_first_inaccessible_anchor_is_named(self):
+        # both anchors sit inside a blockade disk; the first in anchor
+        # order is named, not the one nearer to its atom
+        inst = layout_instance("K_1")
+        atom = inst.positions[0]
+        anchors = (
+            Anchor("A", tuple(atom + (0.0, 0.5)), 0.1, 0, "raise"),
+            Anchor("B", tuple(atom + (0.0, -0.3)), 0.1, 0, "raise"),
+        )
+        with pytest.raises(GeometryError, match=r"anchor for A .* at 0\.500 is inside"):
+            _check_sites(inst, anchors)
+
     def test_first_colliding_anchor_pair_is_named(self):
         # pairs (1, 2) and (0, 3) collide; the row-major first is (0, 3)
         inst = layout_instance("K_1")
