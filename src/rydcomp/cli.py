@@ -9,9 +9,10 @@ Four subcommands cover the pipeline end to end:
     layout, spectrum CSV and a verification report (logical band, gap,
     anchors-excited and decode-consistency checks).
 ``sweep``
-    move the one programming handle, the anchor height ``dy``, across a range
-    and emit the exact response curve next to its first- and second-order
-    models, as CSV.
+    move the one programming handle, the anchor height ``dy``, over absolute,
+    positive heights above the middle atom of a coupling-free ``K_{1,1}``
+    chain and emit the planner's service functional there next to its
+    first- and second-order models, as CSV.
 ``endtoend``
     repeated randomized instances, each run through ``verify``'s problem
     check at its default window without writing its files: compile,
@@ -38,14 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reports
-from .errors import GeometryError, ProblemFormatError, RydcompError, ValidationError
+from .assembly import assemble_layout
+from .errors import ProblemFormatError, RydcompError, ValidationError
 from .gadgets import KINDS, make_gadget
 from .parity import compile_parity, decode, decompose_all
-from .physics import (
-    PhysicsConfig, distances, energies, mask_of, occupancy, probe_sum, spectrum
-)
+from .physics import PhysicsConfig, spectrum
 from .problems import brute_force_optimum, evaluate, load_problem, parse_problem
-from .programming import balance_open_ports, build_global_layout, place_anchor
+from .programming import (
+    _chain_normal, balance_open_ports, build_global_layout, service_functional
+)
 
 OUT_ENV = "RYDCOMP_OUT"
 
@@ -54,9 +56,7 @@ OUT_ENV = "RYDCOMP_OUT"
 _GADGET_RATIO = {"kite": 1.5}
 _DEFAULT_GADGET_RATIO = 3.0
 _ASSEMBLY_RATIO = 4.0
-_SWEEP_RANGE = (-0.2, 0.5)  # anchor height offsets, in lattice spacings
-# end anchors of the sweep testbed, in spacings beyond the link ends
-_END_DISTANCE = 1.45
+_SWEEP_RANGE = (0.6, 3.0)  # anchor heights above the chain, in lattice spacings
 
 
 @dataclass(frozen=True)
@@ -77,106 +77,35 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# link testbed for the sweep subcommand
+# the sweep subcommand's curve
 
 
-@dataclass(frozen=True)
-class LinkTestbed:
-    """A link with fixed end anchors and one solved programming anchor.
+def sweep_service(config: PhysicsConfig, length: int, heights):
+    """Rows of the ``dy`` sweep: the planner's service curve next to its models.
 
-    The end anchors sit at a deliberately unbalanced distance so the two
-    logical states start split; the perpendicular anchor above the central
-    atom is root-solved on the exact full-layout splitting, which therefore
-    crosses zero at ``height``.  Sweeping the anchor height around that root
-    reproduces the exact programming curve.
+    On the coupling-free ``K_{1,1}`` chain of ``length`` atoms, the probe
+    anchor stands at each height (in spacings) on the chain normal through
+    the middle atom, and :func:`programming.service_functional` gives the
+    splitting it delivers: the curve ``plan_anchors`` root-solves for every
+    anchor.  The first-order model keeps only the middle atom's pair, the
+    second-order model adds its two neighbours, both signed by the middle
+    atom's chain phase.
     """
-
-    config: PhysicsConfig
-    positions: np.ndarray  # chain atoms, two end anchors, programming anchor
-    center_on: int  # full configuration with the central atom excited
-    center_off: int  # full configuration with the central atom idle
-    anchor_index: int
-    height: float
-
-
-def build_link_testbed(config: PhysicsConfig, length: int = 5) -> LinkTestbed:
-    """The sweep's link, end anchors and root-solved programming anchor.
-
-    All three anchors are excited in both states, so their own terms cancel
-    from the split: ``programming.place_anchor`` solves the height, between
-    0.5 and 5 spacings, from the anchor's ``physics.probe_sum`` over
-    ``occ_on - occ_off`` against the bare layout's ``E_off - E_on``.
-    """
-    if length < 5 or length % 2 == 0:
-        raise ValidationError(f"sweep testbed needs an odd link length >= 5, got {length}")
-    gadget = make_gadget("link", config=config, length=length)
-    pos = gadget.positions
-    d = config.spacing
-    center = (length - 1) // 2
-    ends = np.array(
-        [pos[0] - (_END_DISTANCE * d, 0.0), pos[-1] + (_END_DISTANCE * d, 0.0)]
-    )
-    base = np.vstack([pos, ends])
-    anchor_bits = mask_of(range(length, length + 3))
-    on_states = [m for m in gadget.logical_states if (m >> center) & 1]
-    center_on = on_states[0] | anchor_bits
-    center_off = next(
-        m for m in gadget.logical_states if not (m >> center) & 1
-    ) | anchor_bits
-    x = float(pos[center, 0])
-    e_on, e_off = energies(base, config.detuning, (center_on, center_off), config.c6).tolist()
-    on, off = occupancy((center_on, center_off), len(base)).astype(float)
-    pull = probe_sum(base, on - off, config.c6)
-    _, height = place_anchor(pull, (x, 0.0), (0.0, 1.0), e_off - e_on, config, cap=5.0)
-    positions = np.vstack([base, [x, height]])
-    return LinkTestbed(config, positions, center_on, center_off, length + 2, height)
+    problem = parse_problem({"family": "K_{1,1}"})
+    instance = assemble_layout(decompose_all(compile_parity(problem)), config, link_length=length)
+    (name, ch), = instance.chains.items()
+    mid = (length - 1) // 2
+    ys = np.asarray(heights, dtype=float) * config.spacing
+    probes = instance.positions[ch.atoms[mid]] + ys[:, None] * _chain_normal(instance, ch, mid)
+    service = service_functional(instance, name).batch(probes)
+    sign = 1.0 if ch.phases[mid] == 0 else -1.0
+    c6, d = config.c6, config.spacing
+    first = sign * c6 / ys**6
+    second = first - sign * 2.0 * c6 / (d * d + ys * ys) ** 3
+    return list(zip(range(len(ys)), heights, service, first, second))
 
 
-def _guard_overlap(positions, spacing, label):
-    dist = distances(positions, positions)
-    dist[np.diag_indices(len(dist))] = np.inf
-    if dist.min() < 0.05 * spacing:
-        raise GeometryError(f"sweep value {label} brings two atoms on top of each other")
-
-
-def sweep_anchor_height(testbed: LinkTestbed, deltas, *, window_fraction: float):
-    """Rows of the ``dy`` sweep: exact splitting next to its two models.
-
-    The first-order model keeps only the anchor-to-central-atom pair; the
-    second-order model adds the two chain neighbours.  Raw curves are
-    emitted — consumers difference them against the row at the root.
-    """
-    cfg = testbed.config
-    c6, d, unit = cfg.c6, cfg.spacing, cfg.energy_unit
-    a = testbed.anchor_index
-    masks = (testbed.center_on, testbed.center_off)
-    rows = []
-    for k, delta in enumerate(deltas):
-        y = testbed.height + delta
-        pos = testbed.positions.copy()
-        pos[a, 1] = y
-        _guard_overlap(pos, d, f"dy={delta!r}")
-        e_on, e_off = energies(pos, cfg.detuning, masks, c6).tolist()
-        first = c6 / y**6
-        second = first - 2.0 * c6 / (d * d + y * y) ** 3
-        found = spectrum(pos, cfg.detuning, c6, window=window_fraction * unit)
-        rows.append(
-            (k, delta, y, e_on, e_off, e_on - e_off, first, second, len(found.entries))
-        )
-    return rows
-
-
-HEIGHT_SWEEP_HEADER = (
-    "index",
-    "delta",
-    "height",
-    "energy_center_on",
-    "energy_center_off",
-    "split_exact",
-    "split_first_order",
-    "split_second_order",
-    "states_in_window",
-)
+HEIGHT_SWEEP_HEADER = ("index", "height", "service", "split_first_order", "split_second_order")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +146,12 @@ def cmd_compile(rc: RunConfig) -> int:
     return 0
 
 
+def _check_link_length(length: int) -> int:
+    if length < 3 or length % 2 == 0:
+        raise ValidationError(f"link length must be odd and at least 3, got {length}")
+    return length
+
+
 def _parse_gadget_spec(text: str):
     """``link:7`` -> ("link", 7); bare kinds get their default size.
 
@@ -233,9 +168,7 @@ def _parse_gadget_spec(text: str):
             length = int(tail)
         except ValueError:
             raise ValidationError(f"bad link length {tail!r}") from None
-        if length < 3 or length % 2 == 0:
-            raise ValidationError(f"link length must be odd and at least 3, got {length}")
-        return kind, length
+        return kind, _check_link_length(length)
     return kind, 5 if kind == "link" else None
 
 
@@ -368,8 +301,10 @@ def cmd_verify(rc: RunConfig) -> int:
     )
 
 
-def _deltas(rc: RunConfig):
+def _heights(rc: RunConfig):
     lo, hi = rc.sweep_range
+    if lo <= 0:
+        raise ValidationError(f"sweep heights must be positive, got {lo!r}:{hi!r}")
     if lo > hi:
         raise ValidationError(f"empty sweep range {lo}:{hi}")
     if lo == hi:
@@ -379,11 +314,8 @@ def _deltas(rc: RunConfig):
 
 def cmd_sweep(rc: RunConfig) -> int:
     config = _physics(rc, _DEFAULT_GADGET_RATIO)
-    deltas = _deltas(rc)
-    testbed = build_link_testbed(config, rc.link_length)
-    rows = sweep_anchor_height(testbed, deltas, window_fraction=rc.window)
+    rows = sweep_service(config, rc.link_length, _heights(rc))
     path = os.path.join(rc.out, "sweep_dy.csv")
-    _say(f"anchor equilibrium height: {testbed.height!r}")
     reports.write_csv(path, HEIGHT_SWEEP_HEADER, rows)
     _say(f"{len(rows)} rows: {path}")
     return 0
@@ -486,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
            "'kite'; a problem file named like a gadget is passed as './kite'")
 
     p = sub.add_parser("sweep", help="response curve of one programming handle")
-    common(p)
+    common(p, window=False)
     p.add_argument("--param", choices=("dy",), required=True,
                    help="the handle to sweep; dy, the anchor height, is the only one")
     p.add_argument("--range", default=None, metavar="LO:HI",
-                   help="sweep interval in lattice spacings; write --range=LO:HI, "
-                   "since a LO that starts with '-' is read as an option otherwise")
+                   help="anchor heights above the chain, absolute and positive, in "
+                   "lattice spacings (default 0.6:3.0)")
     p.add_argument("--steps", type=int, default=15)
 
     p = sub.add_parser("endtoend", help="randomized compile/enumerate/decode trials")
@@ -526,9 +458,7 @@ def _run_config(args) -> RunConfig:
     trials = getattr(args, "trials", 1)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    link_length = args.link_length
-    if link_length < 3 or link_length % 2 == 0:
-        raise ValidationError(f"link length must be odd and at least 3, got {link_length}")
+    link_length = _check_link_length(args.link_length)
     raw_range = getattr(args, "range", None)
     return RunConfig(
         subcommand=args.subcommand,

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from rydcomp import cli, reports
-from rydcomp.errors import ValidationError
+from rydcomp.parity import compile_parity, decompose_all
 from rydcomp.physics import PhysicsConfig, SpectrumEntry, SpectrumResult
+from rydcomp.problems import parse_problem
+from rydcomp.programming import build_global_layout
 
 
 def run(tmp_path, *argv):
@@ -341,18 +343,22 @@ class TestVerify:
         assert not report["verified"] and not report["decode_consistent"]
 
 
+def sweep_rows(out):
+    """The data rows of the sweep CSV, as floats."""
+    lines = (out / "sweep_dy.csv").read_text().splitlines()
+    return [list(map(float, line.split(","))) for line in lines[1:]]
+
+
 class TestSweep:
-    def test_height_sweep_crosses_at_root(self, tmp_path):
+    def test_height_sweep_rows(self, tmp_path):
         code, out = run(
-            tmp_path, "sweep", "--param", "dy", "--range=-0.1:0.1", "--steps", "5"
+            tmp_path, "sweep", "--param", "dy", "--range=0.6:1.8", "--steps", "5"
         )
         assert code == 0
         rows = (out / "sweep_dy.csv").read_text().splitlines()
         assert rows[0] == ",".join(cli.HEIGHT_SWEEP_HEADER)
-        assert len(rows) == 6
-        mid = rows[3].split(",")
-        assert float(mid[1]) == 0.0
-        assert abs(float(mid[5])) <= 1e-9 * 3.0  # split_exact at the solved root
+        heights = [row[1] for row in sweep_rows(out)]
+        assert heights == pytest.approx([0.6, 0.9, 1.2, 1.5, 1.8])
 
     def test_zero_length_range_single_row(self, tmp_path):
         code, out = run(tmp_path, "sweep", "--param", "dy", "--range", "0.1:0.1")
@@ -362,8 +368,8 @@ class TestSweep:
         assert rows[0] == ",".join(cli.HEIGHT_SWEEP_HEADER)
 
     def test_byte_stability(self, tmp_path):
-        _, out1 = run(tmp_path / "a", "sweep", "--param", "dy", "--range=-0.15:0.15", "--steps", "7")
-        _, out2 = run(tmp_path / "b", "sweep", "--param", "dy", "--range=-0.15:0.15", "--steps", "7")
+        _, out1 = run(tmp_path / "a", "sweep", "--param", "dy", "--range=0.5:2.5", "--steps", "7")
+        _, out2 = run(tmp_path / "b", "sweep", "--param", "dy", "--range=0.5:2.5", "--steps", "7")
         assert (out1 / "sweep_dy.csv").read_bytes() == (out2 / "sweep_dy.csv").read_bytes()
 
     def test_anchor_height_is_the_only_handle(self, tmp_path):
@@ -371,10 +377,12 @@ class TestSweep:
         assert code == 2
         assert not out.exists()
 
-    def test_overlap_range_is_pipeline_error(self, tmp_path):
-        # pushing the anchor through the chain makes atoms coincide
-        code, _ = run(tmp_path, "sweep", "--param", "dy", "--range=-1.31:-1.31")
-        assert code == 3
+    @pytest.mark.parametrize("bounds", ["0:1", "-1.31:-1.31", "-0.1:0.1"])
+    def test_nonpositive_height_is_validation_error(self, tmp_path, capsys, bounds):
+        # at height 0 the probe would sit on the middle atom
+        code, _ = run(tmp_path, "sweep", "--param", "dy", f"--range={bounds}")
+        assert code == 2
+        assert "sweep heights must be positive" in capsys.readouterr().err
 
     def test_bad_range_or_steps(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--param", "dy", "--range", "0.5")
@@ -391,9 +399,46 @@ class TestSweep:
         code, _ = run(tmp_path, "sweep", "--param", "dy", "--link-length", "4")
         assert code == 2
 
-    def test_testbed_requires_room_for_center_anchor(self):
-        with pytest.raises(ValidationError):
-            cli.build_link_testbed(PhysicsConfig(interaction_ratio=3.0), 3)
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0, 4.0, 5.0, 6.0])
+    @pytest.mark.parametrize("length", [3, 5, 7, 9, 11])
+    def test_every_odd_length_runs(self, tmp_path, length, ratio):
+        # close in, the curve's sign is the middle atom's chain phase, and
+        # the neighbours' pairs bring the second-order model closer
+        code, out = run(
+            tmp_path, "sweep", "--param", "dy", "--link-length", str(length),
+            "--ratio", str(ratio), "--range=0.6:3.0", "--steps", "9",
+        )
+        assert code == 0
+        rows = sweep_rows(out)
+        sign = 1.0 if (length - 1) // 2 % 2 == 0 else -1.0
+        assert rows[0][1] == 0.6
+        assert np.sign(rows[0][2:]).tolist() == [sign] * 3  # service and both models
+        close = [r for r in rows if r[1] <= 1.2 + 1e-9]
+        assert len(close) == 3
+        for _, _, service, first, second in close:
+            assert abs(second - service) < abs(first - service)
+
+    def test_curve_gives_the_planned_anchor_share(self, tmp_path):
+        # the raise anchor plan_anchors puts over the middle atom of a
+        # coupled K_{1,1} chain delivers its target, read off the sweep
+        config = PhysicsConfig(interaction_ratio=4.0)
+        program = decompose_all(compile_parity(parse_problem(
+            {"family": "K_{1,1}", "quadratic": [[0, 1, 0.1]]}
+        )))
+        layout = build_global_layout(program, config, link_length=5)
+        (anchor,) = [a for a in layout.anchors if a.style == "raise"]
+        assert anchor.base_atom == 2
+        offset = np.subtract(anchor.position, layout.instance.positions[2])
+        height = float(np.hypot(*offset)) / config.spacing
+        assert height == pytest.approx(1.578, abs=1e-3)
+        code, out = run(
+            tmp_path, "sweep", "--param", "dy", "--ratio", "4",
+            f"--range={height!r}:{height!r}",
+        )
+        assert code == 0
+        ((_, h, service, _, _),) = sweep_rows(out)
+        assert h == height
+        assert abs(service - anchor.target) <= 1e-12 * config.detuning
 
 
 class TestEndToEnd:
